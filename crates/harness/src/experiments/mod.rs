@@ -60,7 +60,7 @@ use std::fmt;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use numa_sim::{CostModel, MachineConfig, SimResult, Workload};
+use numa_sim::{CostModel, MachineConfig, Workload};
 use registry::LockId;
 
 use crate::scale::Scale;
@@ -71,7 +71,7 @@ use crate::table::WriteError;
 pub enum Metric {
     /// Total throughput in operations per microsecond (most figures).
     ThroughputOpsPerUs,
-    /// LLC load-miss-rate proxy (Figure 7; simulator only, closed-loop only).
+    /// LLC load-miss-rate proxy (Figure 7; simulator only).
     LlcMissesPerUs,
     /// Long-term fairness factor: the fraction of all operations completed
     /// by the better-served half of the threads (Figure 8). 0.5 = fair.
@@ -99,20 +99,6 @@ impl Metric {
         Metric::P999Sojourn,
         Metric::QueueDepth,
     ];
-
-    /// Extracts the metric from a closed-loop simulation result.
-    pub fn extract(self, result: &SimResult) -> f64 {
-        match self {
-            Metric::ThroughputOpsPerUs => result.throughput_ops_per_us(),
-            Metric::LlcMissesPerUs => result.llc_misses_per_us(),
-            Metric::FairnessFactor => result.fairness_factor(),
-            // Guarded by validate(): sojourn metrics require open-loop mode,
-            // which never produces a closed-loop SimResult.
-            Metric::P50Sojourn | Metric::P99Sojourn | Metric::P999Sojourn | Metric::QueueDepth => {
-                unreachable!("open-loop metric extracted from a closed-loop result")
-            }
-        }
-    }
 
     /// Lower-case token used in CSV/JSON columns and `--metric` flags.
     pub const fn name(self) -> &'static str {
@@ -228,8 +214,8 @@ pub enum ExperimentError {
         /// The rejected metric's token.
         metric: &'static str,
     },
-    /// The metric and the load mode are incompatible (sojourn percentiles on
-    /// a closed-loop run, LLC misses on an open-loop one).
+    /// The metric and the load mode are incompatible (sojourn percentiles
+    /// and queue depth on a closed-loop run).
     ModeMetricMismatch {
         /// The rejected metric's token.
         metric: &'static str,
@@ -1017,14 +1003,6 @@ impl ExperimentSpec {
                     "offered rates must be at least 1 request/s".to_string(),
                 ));
             }
-            if self.metric == Metric::LlcMissesPerUs {
-                // The open-loop sim engine does not model per-line ownership,
-                // so it cannot count LLC misses.
-                return Err(ExperimentError::ModeMetricMismatch {
-                    metric: self.metric.name(),
-                    mode: self.load.name(),
-                });
-            }
         }
         if self.thread_multipliers.contains(&0) {
             return Err(ExperimentError::InvalidThreads(
@@ -1360,7 +1338,7 @@ mod tests {
     }
 
     #[test]
-    fn open_loop_metrics_require_open_mode_and_vice_versa() {
+    fn open_loop_metrics_require_open_mode() {
         // p99 on a closed spec: rejected before anything runs.
         let spec = ExperimentSpec::new("t")
             .lock(LockId::Cna)
@@ -1373,15 +1351,34 @@ mod tests {
                 mode: "closed"
             })
         ));
-        // LLC misses on an open spec: the open engine cannot count them.
-        let spec = ExperimentSpec::new("t")
-            .lock(LockId::Cna)
-            .workload(WorkloadId::Sim.to_spec())
-            .metric(Metric::LlcMissesPerUs)
-            .open_rates(vec![1_000], Arrival::Poisson);
+    }
+
+    #[test]
+    fn llc_misses_are_counted_in_both_sim_modes_and_on_no_substrate() {
+        // The one engine tracks per-line ownership whatever the arrival
+        // process, so an open sim spec counts misses like a closed one.
+        let open_llc = |workload: WorkloadId| {
+            ExperimentSpec::new("t")
+                .lock(LockId::Mcs)
+                .workload(workload.to_spec())
+                .threads(vec![4])
+                .scale(Scale::Smoke)
+                .duration_ms(2)
+                .metric(Metric::LlcMissesPerUs)
+                // Saturating: below capacity one worker serves every
+                // request and no line ever changes socket.
+                .open_rates(vec![20_000_000], Arrival::Fixed)
+        };
+        let report = open_llc(WorkloadId::Sim)
+            .run()
+            .expect("open sim counts misses");
+        assert_eq!(report.samples.len(), 1);
+        assert_eq!(report.samples[0].mode, "open");
+        assert_eq!(report.samples[0].unit, "misses/us");
+        assert!(report.samples[0].value > 0.0, "{:?}", report.samples[0]);
         assert!(matches!(
-            spec.validate(),
-            Err(ExperimentError::ModeMetricMismatch { mode: "open", .. })
+            open_llc(WorkloadId::KvMap).run(),
+            Err(ExperimentError::UnsupportedMetric { .. })
         ));
     }
 

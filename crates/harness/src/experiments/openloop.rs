@@ -1,6 +1,7 @@
-//! Open-loop machinery shared by both runners: arrival schedules, the
-//! per-run summary, and the discrete-event virtual-time engine behind the
-//! simulator's open-loop mode.
+//! Load-driving machinery shared by both runners: arrival schedules, the
+//! per-run summary, and the one real-thread driver. (The simulator's
+//! counterpart of the driver is `numa_sim::engine`, which consumes the same
+//! schedules.)
 //!
 //! An open-loop run is sized by **request count**, not duration: the
 //! schedule always contains between [`MIN_REQUESTS`] and [`MAX_REQUESTS`]
@@ -10,18 +11,15 @@
 //! generator, so a substrate run and a simulator run at the same (rate,
 //! arrival, seed) see the **same** offered load.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use rand::{Rng, SeedableRng, SmallRng};
 
-use numa_sim::lock_model::{LockAlgorithm, LockModel, Waiter};
-use numa_sim::rng::SimRng;
-use numa_sim::workload::Step;
+use numa_sim::SimResult;
 
 use super::histogram::LatencyHistogram;
-use super::load::Arrival;
-use super::SimSweep;
+use super::load::{Arrival, LoadMode};
 
 /// Fewest arrivals an open-loop run schedules — below this, tail
 /// percentiles are meaningless.
@@ -34,8 +32,9 @@ pub const MAX_REQUESTS: usize = 1 << 20;
 /// `horizon_ns` measurement window, clamped to
 /// [`MIN_REQUESTS`]..=[`MAX_REQUESTS`].
 pub fn request_count(rate_per_sec: u64, horizon_ns: u64) -> usize {
-    let n = (u128::from(rate_per_sec) * u128::from(horizon_ns) / 1_000_000_000) as usize;
-    n.clamp(MIN_REQUESTS, MAX_REQUESTS)
+    let n = u128::from(rate_per_sec) * u128::from(horizon_ns) / 1_000_000_000;
+    // Clamp before narrowing: the product can exceed 64 bits.
+    n.clamp(MIN_REQUESTS as u128, MAX_REQUESTS as u128) as usize
 }
 
 /// Generates the arrival schedule: `requests` offsets in nanoseconds from
@@ -70,8 +69,34 @@ pub fn arrival_schedule(
     schedule
 }
 
-/// What one open-loop run measured, normalized across the real-thread and
-/// simulated back-ends.
+/// The schedule a run of `load` offers over a `horizon` measurement window,
+/// or `None` for closed-loop load, which has no arrivals of its own.
+///
+/// Every open loop of both back-ends derives its schedule here. The seed
+/// depends on the rate alone, so every repetition and every re-run at one
+/// rate is offered the identical load and baseline diffs compare like with
+/// like.
+pub fn offered_schedule(load: LoadMode, horizon: Duration) -> Option<Vec<u64>> {
+    match load {
+        LoadMode::Closed => None,
+        LoadMode::Open {
+            rate_per_sec,
+            arrival,
+        } => {
+            let horizon_ns = u64::try_from(horizon.as_nanos()).unwrap_or(u64::MAX);
+            Some(arrival_schedule(
+                rate_per_sec,
+                arrival,
+                request_count(rate_per_sec, horizon_ns),
+                0x00DD_5EED ^ rate_per_sec,
+            ))
+        }
+    }
+}
+
+/// What one run of the load driver measured, normalized across the
+/// real-thread and simulated back-ends. Closed-loop runs have no requests,
+/// so their histogram and queue depths stay empty.
 #[derive(Debug, Clone)]
 pub struct OpenLoopSummary {
     /// Per-request sojourn times (arrival → completion), nanoseconds.
@@ -96,6 +121,26 @@ impl OpenLoopSummary {
     /// Completed requests per microsecond of makespan.
     pub fn throughput_ops_per_us(&self) -> f64 {
         self.served() as f64 / (self.elapsed_ns as f64 / 1e3).max(1.0)
+    }
+
+    /// Folds the raw per-request records of a scheduled simulator run into
+    /// the summary the real-thread driver produces.
+    pub(crate) fn from_sim(result: &SimResult) -> Self {
+        let mut histogram = LatencyHistogram::new();
+        for &sojourn in &result.sojourn_ns {
+            histogram.record(sojourn);
+        }
+        let mut depth = DepthMeter::default();
+        for &in_system in &result.depth_at_arrival {
+            depth.sample(in_system);
+        }
+        OpenLoopSummary {
+            histogram,
+            served_per_worker: result.ops_per_thread.clone(),
+            mean_queue_depth: depth.mean(),
+            max_queue_depth: depth.max(),
+            elapsed_ns: result.duration_ns,
+        }
     }
 }
 
@@ -137,30 +182,35 @@ impl DepthMeter {
 }
 
 // ---------------------------------------------------------------------------
-// The generic wall-clock open-loop driver
+// The wall-clock load driver
 // ---------------------------------------------------------------------------
 
-/// Runs an arrival `schedule` against `threads` real workers, pacing each
-/// request to its wall-clock offset and recording per-request sojourn
-/// (arrival → completion) plus queue-depth samples.
+/// Drives `threads` real workers with `load` for a `duration` window — the
+/// one thread-spawning loop behind every real-thread measurement.
 ///
-/// This is the substrate-agnostic half of the real-thread open loop: the
-/// driver owns request dispatch (a shared fetch-add over the schedule),
-/// pacing (sleep through long gaps, spin out the tail), depth sampling and
-/// histogram merging, while the caller supplies the substrate via two
-/// closures:
+/// The caller supplies the substrate via two closures:
 ///
 /// * `init(worker)` runs **on the worker thread** and builds its per-worker
 ///   state (socket override guard, queue node, RNG seed, …) — the state
 ///   type `W` never crosses threads, so it needs no `Send`.
 /// * `serve(&mut state, request)` performs one request — the critical
-///   section whose sojourn is measured.
+///   section being measured. `request` is unique within the run.
 ///
-/// The run ends when the schedule drains: every request is served, so
-/// saturating rates produce growing sojourn times rather than drops.
-pub fn run_wall_clock_open_loop<W, I, S>(
+/// The load shape only decides when a worker's next request arrives:
+///
+/// * [`LoadMode::Closed`] — the instant its last one completes, until
+///   `duration` has passed. Workers share no dispatch state, so they contend
+///   only on what `serve` touches, and nothing is timed per request.
+/// * [`LoadMode::Open`] — at its offset in [`offered_schedule`]: workers
+///   claim arrivals with a shared fetch-add, pace each to the wall clock
+///   (sleep through long gaps, spin out the tail) and record its sojourn
+///   from the **scheduled** arrival plus a queue-depth sample. The run ends
+///   when the schedule drains, so saturating rates produce growing sojourn
+///   times rather than drops.
+pub fn run_wall_clock<W, I, S>(
     threads: usize,
-    schedule: &[u64],
+    load: LoadMode,
+    duration: Duration,
     init: I,
     serve: S,
 ) -> OpenLoopSummary
@@ -169,6 +219,9 @@ where
     S: Fn(&mut W, usize) + Sync,
 {
     let threads = threads.max(1);
+    let schedule = offered_schedule(load, duration);
+    let schedule = schedule.as_deref();
+    let stop = AtomicBool::new(false);
     let next = AtomicUsize::new(0);
     let completed = AtomicU64::new(0);
     let start = Instant::now();
@@ -176,7 +229,7 @@ where
     let per_worker: Vec<(LatencyHistogram, DepthMeter, u64, u64)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
-                let (next, completed) = (&next, &completed);
+                let (stop, next, completed) = (&stop, &next, &completed);
                 let (init, serve) = (&init, &serve);
                 scope.spawn(move || {
                     let mut state = init(t);
@@ -184,44 +237,59 @@ where
                     let mut depth = DepthMeter::default();
                     let mut served = 0u64;
                     let mut last_done_ns = 0u64;
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= schedule.len() {
-                            break;
+                    match schedule {
+                        None => {
+                            while !stop.load(Ordering::Relaxed) {
+                                serve(&mut state, t + served as usize * threads);
+                                served += 1;
+                            }
+                            last_done_ns = start.elapsed().as_nanos() as u64;
                         }
-                        let arrival_ns = schedule[i];
-                        // Pace on the wall clock: sleep through long gaps,
-                        // spin out the tail for precision.
-                        loop {
-                            let now = start.elapsed().as_nanos() as u64;
-                            if now >= arrival_ns {
+                        Some(schedule) => loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= schedule.len() {
                                 break;
                             }
-                            if arrival_ns - now > 200_000 {
-                                std::thread::sleep(Duration::from_nanos((arrival_ns - now) / 2));
-                            } else {
-                                std::hint::spin_loop();
+                            let arrival_ns = schedule[i];
+                            // Pace on the wall clock: sleep through long
+                            // gaps, spin out the tail for precision.
+                            loop {
+                                let now = start.elapsed().as_nanos() as u64;
+                                if now >= arrival_ns {
+                                    break;
+                                }
+                                if arrival_ns - now > 200_000 {
+                                    std::thread::sleep(Duration::from_nanos(
+                                        (arrival_ns - now) / 2,
+                                    ));
+                                } else {
+                                    std::hint::spin_loop();
+                                }
                             }
-                        }
-                        let now = start.elapsed().as_nanos() as u64;
-                        // In-system count at service start: arrivals due by
-                        // now minus requests already completed.
-                        let arrived = schedule.partition_point(|&a| a <= now) as u64;
-                        depth.sample(arrived.saturating_sub(completed.load(Ordering::Relaxed)));
-                        serve(&mut state, i);
-                        let done = start.elapsed().as_nanos() as u64;
-                        histogram.record(done.saturating_sub(arrival_ns));
-                        completed.fetch_add(1, Ordering::Relaxed);
-                        served += 1;
-                        last_done_ns = done;
+                            let now = start.elapsed().as_nanos() as u64;
+                            // In-system count at service start: arrivals due
+                            // by now minus requests already completed.
+                            let arrived = schedule.partition_point(|&a| a <= now) as u64;
+                            depth.sample(arrived.saturating_sub(completed.load(Ordering::Relaxed)));
+                            serve(&mut state, i);
+                            let done = start.elapsed().as_nanos() as u64;
+                            histogram.record(done.saturating_sub(arrival_ns));
+                            completed.fetch_add(1, Ordering::Relaxed);
+                            served += 1;
+                            last_done_ns = done;
+                        },
                     }
                     (histogram, depth, served, last_done_ns)
                 })
             })
             .collect();
+        if schedule.is_none() {
+            std::thread::sleep(duration);
+            stop.store(true, Ordering::Relaxed);
+        }
         handles
             .into_iter()
-            .map(|h| h.join().expect("open-loop worker panicked"))
+            .map(|h| h.join().expect("load-driver worker panicked"))
             .collect()
     });
 
@@ -235,7 +303,7 @@ where
         served_per_worker.push(*served);
         elapsed_ns = elapsed_ns.max(*last);
     }
-    debug_assert_eq!(histogram.count(), schedule.len() as u64);
+    debug_assert_eq!(histogram.count(), schedule.map_or(0, |s| s.len() as u64));
     OpenLoopSummary {
         histogram,
         served_per_worker,
@@ -245,335 +313,11 @@ where
     }
 }
 
-// ---------------------------------------------------------------------------
-// The simulator's open-loop engine
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Event {
-    /// Request `i` of the schedule arrives.
-    Arrival(usize),
-    /// Worker `w` finished a non-critical (think) phase.
-    WorkerReady(usize),
-    /// Worker `w` releases `lock`.
-    Release { worker: usize, lock: usize },
-    /// A declined hand-over on `lock` is re-checked (backoff models).
-    Recheck(usize),
-}
-
-#[derive(Debug, PartialEq, Eq)]
-struct Scheduled {
-    time: u64,
-    seq: u64,
-    event: Event,
-}
-
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-struct SimLock {
-    model: Box<dyn LockModel>,
-    held: bool,
-    holder_socket: usize,
-    last_holder_socket: usize,
-    recheck_pending: bool,
-}
-
-struct SimWorker {
-    socket: usize,
-    /// Index into the arrival schedule of the request being served.
-    request: Option<usize>,
-    steps: Vec<Step>,
-    step_idx: usize,
-    waiting_since: u64,
-}
-
-/// Discrete-event open-loop service simulation: `workers` simulated threads
-/// (placed on the sweep's machine) serve scheduled arrivals, acquiring the
-/// modeled lock around each request's critical section. Virtual-time
-/// counterpart of the real-thread open loop in [`crate::real`]; fully
-/// deterministic per seed.
-pub struct SimOpenLoop<'a> {
-    sweep: &'a SimSweep,
-    algorithm: LockAlgorithm,
-    schedule: &'a [u64],
-    seed: u64,
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<Scheduled>>,
-    seq: u64,
-    locks: Vec<SimLock>,
-    workers: Vec<SimWorker>,
-    idle: Vec<usize>,
-    pending: std::collections::VecDeque<usize>,
-    next_arrival: usize,
-    in_system: u64,
-    depth: DepthMeter,
-    histogram: LatencyHistogram,
-    served_per_worker: Vec<u64>,
-    last_completion: u64,
-}
-
-impl<'a> SimOpenLoop<'a> {
-    /// Builds the engine for `workers` simulated service threads.
-    pub fn new(
-        sweep: &'a SimSweep,
-        algorithm: LockAlgorithm,
-        workers: usize,
-        schedule: &'a [u64],
-        seed: u64,
-    ) -> Self {
-        let locks = sweep
-            .workload
-            .locks
-            .iter()
-            .map(|_| SimLock {
-                model: algorithm.build(
-                    sweep.machine.sockets,
-                    sweep.machine.logical_cpus(),
-                    &sweep.cost,
-                ),
-                held: false,
-                holder_socket: 0,
-                last_holder_socket: 0,
-                recheck_pending: false,
-            })
-            .collect();
-        let workers_vec: Vec<SimWorker> = (0..workers.max(1))
-            .map(|w| SimWorker {
-                socket: sweep.machine.socket_of_thread(w),
-                request: None,
-                steps: Vec::new(),
-                step_idx: 0,
-                waiting_since: 0,
-            })
-            .collect();
-        let idle = (0..workers_vec.len()).rev().collect();
-        SimOpenLoop {
-            sweep,
-            algorithm,
-            schedule,
-            seed,
-            heap: std::collections::BinaryHeap::new(),
-            seq: 0,
-            locks,
-            served_per_worker: vec![0; workers_vec.len()],
-            workers: workers_vec,
-            idle,
-            pending: std::collections::VecDeque::new(),
-            next_arrival: 0,
-            in_system: 0,
-            depth: DepthMeter::default(),
-            histogram: LatencyHistogram::new(),
-            last_completion: 0,
-        }
-    }
-
-    fn schedule_event(&mut self, time: u64, event: Event) {
-        self.seq += 1;
-        self.heap.push(std::cmp::Reverse(Scheduled {
-            time,
-            seq: self.seq,
-            event,
-        }));
-    }
-
-    /// Pushes the next scheduled arrival (arrivals enter the heap lazily so
-    /// a million-request schedule does not pre-allocate a million events).
-    fn push_next_arrival(&mut self) {
-        if self.next_arrival < self.schedule.len() {
-            let i = self.next_arrival;
-            self.next_arrival += 1;
-            self.schedule_event(self.schedule[i], Event::Arrival(i));
-        }
-    }
-
-    /// Runs every request to completion and summarizes.
-    pub fn run(mut self) -> OpenLoopSummary {
-        self.push_next_arrival();
-        while let Some(std::cmp::Reverse(next)) = self.heap.pop() {
-            match next.event {
-                Event::Arrival(i) => {
-                    self.push_next_arrival();
-                    self.in_system += 1;
-                    self.depth.sample(self.in_system);
-                    if let Some(w) = self.idle.pop() {
-                        self.assign(w, i, next.time);
-                    } else {
-                        self.pending.push_back(i);
-                    }
-                }
-                Event::WorkerReady(w) => self.advance_worker(w, next.time),
-                Event::Release { worker, lock } => self.handle_release(worker, lock, next.time),
-                Event::Recheck(lock) => {
-                    self.locks[lock].recheck_pending = false;
-                    self.try_handover(lock, next.time);
-                }
-            }
-        }
-        debug_assert_eq!(self.in_system, 0, "open-loop sim left requests behind");
-        OpenLoopSummary {
-            histogram: self.histogram,
-            served_per_worker: self.served_per_worker,
-            mean_queue_depth: self.depth.mean(),
-            max_queue_depth: self.depth.max(),
-            elapsed_ns: self.last_completion.max(1),
-        }
-    }
-
-    /// Hands request `i` to worker `w` at time `now`.
-    fn assign(&mut self, w: usize, i: usize, now: u64) {
-        let mut rng = SimRng::new(
-            self.seed
-                .wrapping_add((i as u64).wrapping_mul(104_729))
-                .wrapping_add(self.algorithm.name().len() as u64),
-        );
-        self.workers[w].request = Some(i);
-        self.workers[w].steps = self.sweep.workload.generate_op(&mut rng);
-        self.workers[w].step_idx = 0;
-        self.advance_worker(w, now);
-    }
-
-    /// Executes the worker's current step; on op completion records the
-    /// request's sojourn and pulls the next pending request.
-    fn advance_worker(&mut self, w: usize, now: u64) {
-        loop {
-            if self.workers[w].step_idx >= self.workers[w].steps.len() {
-                // Request complete.
-                let i = self.workers[w]
-                    .request
-                    .take()
-                    .expect("completed worker had no request");
-                let sojourn = now.saturating_sub(self.schedule[i]);
-                self.histogram.record(sojourn);
-                self.served_per_worker[w] += 1;
-                self.in_system -= 1;
-                self.last_completion = self.last_completion.max(now);
-                match self.pending.pop_front() {
-                    Some(next) => {
-                        self.assign(w, next, now);
-                    }
-                    None => self.idle.push(w),
-                }
-                return;
-            }
-            let step = self.workers[w].steps[self.workers[w].step_idx].clone();
-            match step {
-                Step::Think { ns } => {
-                    self.workers[w].step_idx += 1;
-                    if ns == 0 {
-                        continue;
-                    }
-                    self.schedule_event(now + ns, Event::WorkerReady(w));
-                    return;
-                }
-                Step::Critical { lock, .. } => {
-                    if !self.locks[lock].held {
-                        self.grant(w, lock, now, None, 0);
-                    } else {
-                        let waiter = Waiter {
-                            thread: w,
-                            socket: self.workers[w].socket,
-                            arrival_ns: now,
-                        };
-                        self.workers[w].waiting_since = now;
-                        self.locks[lock].model.on_arrival(waiter);
-                    }
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Grants `lock` to worker `w`, charging acquisition, service and
-    /// (socket-sensitive) data-access costs, mirroring the closed-loop
-    /// engine's cost accounting with a whole-region data approximation.
-    fn grant(&mut self, w: usize, lock: usize, now: u64, handover_from: Option<usize>, extra: u64) {
-        let socket = self.workers[w].socket;
-        let (service_ns, reads, writes) = match self.workers[w].steps[self.workers[w].step_idx] {
-            Step::Critical {
-                service_ns,
-                reads,
-                writes,
-                ..
-            } => (service_ns, reads, writes),
-            Step::Think { .. } => unreachable!("grant on a non-critical step"),
-        };
-        let cost = &self.sweep.cost;
-        let state = &mut self.locks[lock];
-        let acquire_ns = match handover_from {
-            Some(from) => {
-                // Same oversubscription charge as the closed-loop engine:
-                // hot spinners + the new holder compete for logical CPUs.
-                let runnable = state.model.spinning() + 1;
-                cost.handover_ns(from, socket)
-                    + cost.contended_overhead_ns
-                    + cost.oversubscription_penalty_ns(runnable, self.sweep.machine.logical_cpus())
-            }
-            None => {
-                cost.uncontended_acquire_ns + cost.line_access_ns(state.last_holder_socket, socket)
-            }
-        } + extra;
-        // The protected lines were last written by the previous holder: every
-        // access is local or remote wholesale (the closed-loop engine tracks
-        // individual line owners; the service-time difference is marginal).
-        let data_ns =
-            (reads + writes) as u64 * cost.line_access_ns(state.last_holder_socket, socket);
-        state.held = true;
-        state.holder_socket = socket;
-        let total = acquire_ns + service_ns + data_ns;
-        self.schedule_event(now + total.max(1), Event::Release { worker: w, lock });
-    }
-
-    fn handle_release(&mut self, w: usize, lock: usize, now: u64) {
-        {
-            let state = &mut self.locks[lock];
-            state.held = false;
-            state.last_holder_socket = state.holder_socket;
-        }
-        self.try_handover(lock, now);
-        self.workers[w].step_idx += 1;
-        self.advance_worker(w, now);
-    }
-
-    fn try_handover(&mut self, lock: usize, now: u64) {
-        if self.locks[lock].held {
-            return;
-        }
-        let releaser_socket = self.locks[lock].last_holder_socket;
-        let mut rng = SimRng::new(self.seed ^ now.wrapping_mul(0x9E37_79B9) ^ self.seq);
-        match self.locks[lock].model.pick_next(releaser_socket, &mut rng) {
-            Some(grant) => {
-                self.grant(
-                    grant.waiter.thread,
-                    lock,
-                    now,
-                    Some(releaser_socket),
-                    grant.extra_ns,
-                );
-            }
-            None => {
-                if self.locks[lock].model.has_waiters() && !self.locks[lock].recheck_pending {
-                    self.locks[lock].recheck_pending = true;
-                    let delay = self.locks[lock].model.recheck_delay_ns();
-                    self.schedule_event(now + delay, Event::Recheck(lock));
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::WorkloadSpec;
+    use crate::experiments::{SimSweep, WorkloadSpec};
+    use numa_sim::{LockAlgorithm, Simulation};
 
     fn sim_sweep() -> SimSweep {
         match crate::experiments::WorkloadId::Sim.to_spec() {
@@ -582,11 +326,40 @@ mod tests {
         }
     }
 
+    /// A scheduled run of the sweep's machine and workload, summarized.
+    fn sim_open(
+        algorithm: LockAlgorithm,
+        workers: usize,
+        schedule: &[u64],
+        seed: u64,
+    ) -> OpenLoopSummary {
+        let sweep = sim_sweep();
+        let result = Simulation::new(sweep.machine, sweep.cost, algorithm, sweep.workload)
+            .threads(workers)
+            .seed(seed)
+            .run_schedule(schedule);
+        OpenLoopSummary::from_sim(&result)
+    }
+
+    fn open(rate_per_sec: u64, arrival: Arrival) -> LoadMode {
+        LoadMode::Open {
+            rate_per_sec,
+            arrival,
+        }
+    }
+
     #[test]
     fn request_counts_clamp_to_the_configured_bounds() {
         assert_eq!(request_count(1, 1_000_000), MIN_REQUESTS);
         assert_eq!(request_count(1_000, 1_000_000_000), 1_000);
         assert_eq!(request_count(u64::MAX / 2, u64::MAX / 2), MAX_REQUESTS);
+        // Exactly 2^64 requests: the count's low 64 bits are zero, so
+        // narrowing before clamping reads it as no load at all.
+        let (rate, horizon_ns) = (1u64 << 47, 1_000_000_000u64 << 17);
+        let exact = u128::from(rate) * u128::from(horizon_ns) / 1_000_000_000;
+        assert_eq!(exact, 1 << 64);
+        assert!((exact as u64 as usize) < MIN_REQUESTS);
+        assert_eq!(request_count(rate, horizon_ns), MAX_REQUESTS);
     }
 
     #[test]
@@ -612,12 +385,23 @@ mod tests {
     }
 
     #[test]
+    fn the_offered_schedule_depends_on_load_and_horizon_alone() {
+        let horizon = Duration::from_millis(1);
+        assert_eq!(offered_schedule(LoadMode::Closed, horizon), None);
+        let load = open(2_000_000, Arrival::Poisson);
+        let schedule = offered_schedule(load, horizon).expect("open load has arrivals");
+        assert_eq!(schedule.len(), 2_000, "rate × horizon");
+        assert_eq!(offered_schedule(load, horizon), Some(schedule));
+    }
+
+    #[test]
     fn wall_clock_driver_serves_every_request_and_merges_workers() {
-        let schedule = arrival_schedule(1_000_000, Arrival::Fixed, 200, 3);
-        let sum = std::sync::atomic::AtomicU64::new(0);
-        let summary = run_wall_clock_open_loop(
+        // 1 M/s over 200 µs: 200 requests, 1 µs apart.
+        let sum = AtomicU64::new(0);
+        let summary = run_wall_clock(
             3,
-            &schedule,
+            open(1_000_000, Arrival::Fixed),
+            Duration::from_micros(200),
             |worker| (worker, 0u64),
             |state, i| {
                 state.1 += 1;
@@ -632,7 +416,7 @@ mod tests {
             (200 * 201) / 2,
             "every request index served once"
         );
-        assert!(summary.elapsed_ns >= *schedule.last().unwrap());
+        assert!(summary.elapsed_ns >= 199_000, "the last arrival is paced");
         assert!(
             summary.mean_queue_depth >= 1.0,
             "arrivals sample themselves"
@@ -640,10 +424,29 @@ mod tests {
     }
 
     #[test]
+    fn wall_clock_driver_closed_loop_re_arrives_until_the_deadline() {
+        let seen = std::sync::Mutex::new(std::collections::HashSet::new());
+        let summary = run_wall_clock(
+            3,
+            LoadMode::Closed,
+            Duration::from_millis(5),
+            |worker| worker,
+            |_worker, request| {
+                assert!(seen.lock().unwrap().insert(request), "request ids repeat");
+            },
+        );
+        assert_eq!(summary.served_per_worker.len(), 3);
+        assert!(summary.served_per_worker.iter().all(|&n| n > 0));
+        assert_eq!(summary.served(), seen.lock().unwrap().len() as u64);
+        assert!(summary.elapsed_ns >= 5_000_000, "runs to the deadline");
+        assert_eq!(summary.histogram.count(), 0, "nothing is timed per request");
+        assert_eq!(summary.mean_queue_depth, 0.0);
+    }
+
+    #[test]
     fn sim_open_loop_serves_every_request_deterministically() {
-        let sweep = sim_sweep();
         let schedule = arrival_schedule(2_000_000, Arrival::Poisson, 500, 1);
-        let run = || SimOpenLoop::new(&sweep, LockAlgorithm::Cna, 4, &schedule, 99).run();
+        let run = || sim_open(LockAlgorithm::Cna, 4, &schedule, 99);
         let a = run();
         let b = run();
         assert_eq!(a.served(), 500);
@@ -656,11 +459,10 @@ mod tests {
 
     #[test]
     fn saturating_rates_grow_queues_and_tails() {
-        let sweep = sim_sweep();
         let mild = arrival_schedule(100_000, Arrival::Fixed, 300, 1);
         let crushing = arrival_schedule(50_000_000, Arrival::Fixed, 300, 1);
-        let low = SimOpenLoop::new(&sweep, LockAlgorithm::Mcs, 2, &mild, 5).run();
-        let high = SimOpenLoop::new(&sweep, LockAlgorithm::Mcs, 2, &crushing, 5).run();
+        let low = sim_open(LockAlgorithm::Mcs, 2, &mild, 5);
+        let high = sim_open(LockAlgorithm::Mcs, 2, &crushing, 5);
         assert!(
             high.histogram.percentile(99.0) > low.histogram.percentile(99.0),
             "p99 must grow under saturation ({} vs {})",

@@ -1,5 +1,7 @@
 //! The two experiment back-ends: real threads and the NUMA simulator.
 
+use std::time::Duration;
+
 use kernel_sim::{
     run_locktorture_dyn, run_will_it_scale_dyn, LockTortureConfig, WisBenchmark, WisConfig,
 };
@@ -8,10 +10,8 @@ use leveldb_lite::{readrandom_dyn, writebatch_dyn, Db, ReadRandomConfig, WriteBa
 use numa_sim::Simulation;
 use registry::LockId;
 
-use super::load::{Arrival, LoadMode};
-use super::openloop::{
-    arrival_schedule, request_count, run_wall_clock_open_loop, OpenLoopSummary, SimOpenLoop,
-};
+use super::load::LoadMode;
+use super::openloop::{offered_schedule, run_wall_clock, OpenLoopSummary};
 use super::report::Sample;
 use super::{ExperimentError, ExperimentSpec, GridPoint, Metric, SimSweep, SubstrateWorkload};
 use crate::kvmap::run_sharded_kvmap;
@@ -44,21 +44,6 @@ pub trait Runner {
     ) -> Result<Vec<Sample>, ExperimentError>;
 }
 
-/// Extracts the spec's metric (and the always-carried histogram columns)
-/// from one open-loop summary, shared by both runners.
-fn open_loop_value(metric: Metric, summary: &OpenLoopSummary) -> f64 {
-    match metric {
-        Metric::ThroughputOpsPerUs => summary.throughput_ops_per_us(),
-        Metric::FairnessFactor => numa_sim::stats::fairness_factor(&summary.served_per_worker),
-        Metric::P50Sojourn => summary.histogram.p50_us(),
-        Metric::P99Sojourn => summary.histogram.p99_us(),
-        Metric::P999Sojourn => summary.histogram.p999_us(),
-        Metric::QueueDepth => summary.mean_queue_depth,
-        // Guarded by validate(): open mode rejects llc-misses up front.
-        Metric::LlcMissesPerUs => unreachable!("llc-misses rejected for open-loop specs"),
-    }
-}
-
 /// Real-thread, wall-clock runner: drives the actual lock implementations
 /// through the registry's type-erased entry points against the real
 /// substrates (the paper's user-space and kernel benchmarks, minus the NUMA
@@ -69,43 +54,48 @@ pub struct SubstrateRunner {
     pub workload: SubstrateWorkload,
 }
 
-/// One completed substrate run, normalized across the heterogeneous report
-/// types of the substrate crates.
-struct SubstrateRun {
-    label: String,
+/// One completed run of either back-end, normalized across the
+/// heterogeneous report types of the substrate crates and the simulator.
+struct CellRun {
+    workload: String,
     ops_per_thread: Vec<u64>,
-    elapsed: std::time::Duration,
+    elapsed_ns: u64,
+    /// The simulator's LLC-miss proxy; wall-clock runs cannot count it.
+    remote_transfers: u64,
     open_loop: Option<OpenLoopSummary>,
 }
 
-impl SubstrateRun {
-    fn total_ops(&self) -> u64 {
-        self.ops_per_thread.iter().sum()
-    }
-
+impl CellRun {
+    /// Reduces the run to the spec's metric plus the always-carried
+    /// histogram columns (zero for closed-loop runs, which time no request).
     fn into_sample(
         self,
         spec: &ExperimentSpec,
         lock: LockId,
+        label: &str,
         point: GridPoint,
         rep: usize,
     ) -> Sample {
-        let value = match (&self.open_loop, spec.metric) {
-            (Some(summary), metric) => open_loop_value(metric, summary),
-            (None, Metric::ThroughputOpsPerUs) => {
-                self.total_ops() as f64 / (self.elapsed.as_micros().max(1) as f64)
-            }
-            (None, Metric::FairnessFactor) => {
-                numa_sim::stats::fairness_factor(&self.ops_per_thread)
-            }
-            // Guarded by validate()/run_cell before anything runs.
-            (None, _) => unreachable!("metric rejected by SubstrateRunner::run_cell"),
+        let total_ops: u64 = self.ops_per_thread.iter().sum();
+        let elapsed_us = (self.elapsed_ns as f64 / 1e3).max(1.0);
+        let (p50_us, p99_us, p999_us, queue_depth) =
+            self.open_loop.as_ref().map_or((0.0, 0.0, 0.0, 0.0), |s| {
+                let h = &s.histogram;
+                (h.p50_us(), h.p99_us(), h.p999_us(), s.mean_queue_depth)
+            });
+        let value = match spec.metric {
+            Metric::ThroughputOpsPerUs => total_ops as f64 / elapsed_us,
+            Metric::LlcMissesPerUs => self.remote_transfers as f64 / elapsed_us,
+            Metric::FairnessFactor => numa_sim::stats::fairness_factor(&self.ops_per_thread),
+            Metric::P50Sojourn => p50_us,
+            Metric::P99Sojourn => p99_us,
+            Metric::P999Sojourn => p999_us,
+            Metric::QueueDepth => queue_depth,
         };
-        let total_ops = self.total_ops();
         Sample {
-            workload: self.label,
+            workload: self.workload,
             lock: lock.name().to_string(),
-            label: lock.raw_name().to_string(),
+            label: label.to_string(),
             threads: point.threads,
             shards: point.shards,
             batch: point.batch,
@@ -115,21 +105,12 @@ impl SubstrateRun {
             metric: spec.metric.name().to_string(),
             unit: spec.metric.unit().to_string(),
             value,
-            p50_us: self
-                .open_loop
-                .as_ref()
-                .map_or(0.0, |s| s.histogram.p50_us()),
-            p99_us: self
-                .open_loop
-                .as_ref()
-                .map_or(0.0, |s| s.histogram.p99_us()),
-            p999_us: self
-                .open_loop
-                .as_ref()
-                .map_or(0.0, |s| s.histogram.p999_us()),
-            queue_depth: self.open_loop.as_ref().map_or(0.0, |s| s.mean_queue_depth),
+            p50_us,
+            p99_us,
+            p999_us,
+            queue_depth,
             total_ops,
-            elapsed_ms: self.elapsed.as_secs_f64() * 1e3,
+            elapsed_ms: self.elapsed_ns as f64 / 1e6,
         }
     }
 }
@@ -182,17 +163,20 @@ impl Runner for SubstrateRunner {
         let duration = spec.effective_duration();
         // The single-report workloads all record the same three fields; only
         // `wis` fans out into one run per sub-benchmark.
-        let single = |ops_per_thread: Vec<u64>, elapsed, open_loop| {
-            vec![SubstrateRun {
-                label: self.workload.name().to_string(),
-                ops_per_thread,
-                elapsed,
-                open_loop,
-            }]
+        let run = |workload: String, ops_per_thread, elapsed: Duration, open_loop| CellRun {
+            workload,
+            ops_per_thread,
+            elapsed_ns: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
+            remote_transfers: 0,
+            open_loop,
+        };
+        let single = |ops_per_thread, elapsed, open_loop| {
+            let workload = self.workload.name().to_string();
+            vec![run(workload, ops_per_thread, elapsed, open_loop)]
         };
         let mut samples = Vec::new();
         for rep in 0..spec.effective_repetitions() {
-            let runs: Vec<SubstrateRun> = match self.workload {
+            let runs: Vec<CellRun> = match self.workload {
                 SubstrateWorkload::KvMap => {
                     // shards == 1 is the single-lock map: same code path,
                     // one shard, so the sharded axis is comparable end to
@@ -234,24 +218,11 @@ impl Runner for SubstrateRunner {
                         );
                         single(report.ops_per_thread, report.elapsed, None)
                     }
-                    (
-                        _,
-                        LoadMode::Open {
-                            rate_per_sec,
-                            arrival,
-                        },
-                    ) => {
-                        let summary = open_writebatch_dyn(
-                            lock,
-                            threads,
-                            duration,
-                            batch,
-                            rate_per_sec,
-                            arrival,
-                        );
+                    (_, LoadMode::Open { .. }) => {
+                        let summary = open_writebatch_dyn(lock, threads, duration, batch, mode);
                         single(
                             summary.served_per_worker.clone(),
-                            std::time::Duration::from_nanos(summary.elapsed_ns),
+                            Duration::from_nanos(summary.elapsed_ns),
                             Some(summary),
                         )
                     }
@@ -283,18 +254,18 @@ impl Runner for SubstrateRunner {
                     .map(|bench| {
                         let report =
                             run_will_it_scale_dyn(lock, bench, &WisConfig { threads, duration });
-                        SubstrateRun {
-                            label: format!("{}/{}", self.workload.name(), report.benchmark),
-                            ops_per_thread: report.ops_per_thread,
-                            elapsed: report.elapsed,
-                            open_loop: None,
-                        }
+                        run(
+                            format!("{}/{}", self.workload.name(), report.benchmark),
+                            report.ops_per_thread,
+                            report.elapsed,
+                            None,
+                        )
                     })
                     .collect(),
             };
             samples.extend(
                 runs.into_iter()
-                    .map(|run| run.into_sample(spec, lock, point, rep)),
+                    .map(|run| run.into_sample(spec, lock, lock.raw_name(), point, rep)),
             );
         }
         Ok(samples)
@@ -308,23 +279,18 @@ impl Runner for SubstrateRunner {
 fn open_writebatch_dyn(
     lock: LockId,
     threads: usize,
-    duration: std::time::Duration,
+    duration: Duration,
     batch: usize,
-    rate_per_sec: u64,
-    arrival: Arrival,
+    load: LoadMode,
 ) -> OpenLoopSummary {
-    let horizon_ns = u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX);
-    let requests = request_count(rate_per_sec, horizon_ns);
-    // Same schedule seed rule as the other open loops: a re-run at the same
-    // rate offers identical load, so baseline diffs compare like for like.
-    let schedule = arrival_schedule(rate_per_sec, arrival, requests, 0x00DD_5EED ^ rate_per_sec);
     let cfg = WriteBatchConfig::default();
     registry::with_ambient(lock, || {
         let db: Db<registry::AmbientLock> = Db::prefilled(cfg.prefill_keys, cfg.cache_capacity);
         let db = &db;
-        run_wall_clock_open_loop(
+        run_wall_clock(
             threads,
-            &schedule,
+            load,
+            duration,
             |t| numa_topology::SocketOverrideGuard::new(t % 2),
             |_socket, request| {
                 // splitmix-style finalizer: a deterministic overwrite key
@@ -372,107 +338,37 @@ impl Runner for SimRunner<'_> {
     ) -> Result<Vec<Sample>, ExperimentError> {
         let GridPoint { threads, mode, .. } = point;
         let virtual_ms = spec.scale.config().virtual_duration_ms;
+        // The schedule ignores the rep so every repetition sees the same
+        // offered load; the engine seed varies.
+        let schedule = offered_schedule(mode, Duration::from_millis(virtual_ms.max(1)));
+        let algorithm = lock.sim_algorithm();
         let mut samples = Vec::new();
         for rep in 0..spec.effective_repetitions() {
-            let seed = 0xC0FFEE ^ (rep as u64) << 32 ^ threads as u64;
-            let sample = match mode {
-                LoadMode::Closed => {
-                    let result = Simulation::new(
-                        self.sweep.machine.clone(),
-                        self.sweep.cost,
-                        lock.sim_algorithm(),
-                        self.sweep.workload.clone(),
-                    )
-                    .threads(threads)
-                    .virtual_duration_ms(virtual_ms)
-                    .seed(seed)
-                    .run();
-                    self.sample(
-                        lock,
-                        point,
-                        rep,
-                        spec,
-                        spec.metric.extract(&result),
-                        None,
-                        result.total_ops,
-                        result.duration_ns as f64 / 1e6,
-                    )
-                }
-                LoadMode::Open {
-                    rate_per_sec,
-                    arrival,
-                } => {
-                    let horizon_ns = virtual_ms.max(1) * 1_000_000;
-                    let requests = request_count(rate_per_sec, horizon_ns);
-                    // The schedule seed ignores the rep so every repetition
-                    // sees the same offered load; the engine seed varies.
-                    let schedule = arrival_schedule(
-                        rate_per_sec,
-                        arrival,
-                        requests,
-                        0x00DD_5EED ^ rate_per_sec,
-                    );
-                    let summary = SimOpenLoop::new(
-                        self.sweep,
-                        lock.sim_algorithm(),
-                        threads,
-                        &schedule,
-                        seed,
-                    )
-                    .run();
-                    self.sample(
-                        lock,
-                        point,
-                        rep,
-                        spec,
-                        open_loop_value(spec.metric, &summary),
-                        Some(&summary),
-                        summary.served(),
-                        summary.elapsed_ns as f64 / 1e6,
-                    )
-                }
+            let simulation = Simulation::new(
+                self.sweep.machine.clone(),
+                self.sweep.cost,
+                algorithm,
+                self.sweep.workload.clone(),
+            )
+            .threads(threads)
+            .virtual_duration_ms(virtual_ms)
+            .seed(0xC0FFEE ^ (rep as u64) << 32 ^ threads as u64);
+            let result = match &schedule {
+                None => simulation.run(),
+                Some(arrivals) => simulation.run_schedule(arrivals),
             };
-            samples.push(sample);
+            let run = CellRun {
+                workload: self.sweep.label.clone(),
+                open_loop: mode.is_open().then(|| OpenLoopSummary::from_sim(&result)),
+                ops_per_thread: result.ops_per_thread,
+                elapsed_ns: result.duration_ns,
+                remote_transfers: result.remote_transfers,
+            };
+            // The simulator plots policy models: both qspinlock slow paths
+            // keep their paper labels ("MCS"-admission = stock).
+            samples.push(run.into_sample(spec, lock, algorithm.name(), point, rep));
         }
         Ok(samples)
-    }
-}
-
-impl SimRunner<'_> {
-    #[allow(clippy::too_many_arguments)]
-    fn sample(
-        &self,
-        lock: LockId,
-        point: GridPoint,
-        rep: usize,
-        spec: &ExperimentSpec,
-        value: f64,
-        summary: Option<&OpenLoopSummary>,
-        total_ops: u64,
-        elapsed_ms: f64,
-    ) -> Sample {
-        Sample {
-            workload: self.sweep.label.clone(),
-            lock: lock.name().to_string(),
-            // The simulator plots policy models: both qspinlock slow
-            // paths keep their paper labels ("MCS"-admission = stock).
-            label: lock.sim_algorithm().name().to_string(),
-            threads: point.threads,
-            shards: point.shards,
-            batch: point.batch,
-            mode: point.mode.name().to_string(),
-            rate_per_sec: point.mode.rate_per_sec(),
-            rep,
-            metric: spec.metric.name().to_string(),
-            unit: spec.metric.unit().to_string(),
-            value,
-            p50_us: summary.map_or(0.0, |s| s.histogram.p50_us()),
-            p99_us: summary.map_or(0.0, |s| s.histogram.p99_us()),
-            p999_us: summary.map_or(0.0, |s| s.histogram.p999_us()),
-            queue_depth: summary.map_or(0.0, |s| s.mean_queue_depth),
-            total_ops,
-            elapsed_ms,
-        }
     }
 }
 

@@ -14,15 +14,12 @@
 //! registry consumer (no ambient-lock interposition, no generics).
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
 
 use numa_topology::SocketOverrideGuard;
 use registry::LockId;
 use sync_core::DynLockMutex;
 
-use crate::experiments::load::LoadMode;
-use crate::experiments::openloop::{arrival_schedule, request_count, run_wall_clock_open_loop};
+use crate::experiments::openloop::run_wall_clock;
 use crate::real::{spin_work, RunConfig, RunResult};
 
 /// Number of distinct keys the benchmark loops touch. Small enough that
@@ -147,46 +144,25 @@ impl ShardedKvMap {
 /// Runs `config.threads` workers against a [`ShardedKvMap`] with
 /// `config.shards` shards in the load shape `config.load` selects.
 ///
-/// The closed loop mirrors [`crate::run_real_contention`] (each worker
-/// re-requests the instant it finishes, counting ops over the wall-clock
-/// interval); the open loop paces the shared arrival schedule through
-/// [`run_wall_clock_open_loop`]. Both draw keys pseudo-randomly from
-/// [`KEY_SPACE`] and cross-check shard consistency after the run.
+/// Same driver and worker shape as [`crate::run_real_contention`]; each
+/// request increments the key its index hashes to in [`KEY_SPACE`], and the
+/// shard consistency checks run after the workers joined.
 pub fn run_sharded_kvmap(id: LockId, config: &RunConfig) -> RunResult {
     let map = ShardedKvMap::new(id, config.shards);
-    let result = match config.load {
-        LoadMode::Closed => run_closed(&map, config),
-        LoadMode::Open {
-            rate_per_sec,
-            arrival,
-        } => {
-            let horizon_ns = u64::try_from(config.duration.as_nanos()).unwrap_or(u64::MAX);
-            let requests = request_count(rate_per_sec, horizon_ns);
-            // Same schedule seed rule as the single-lock open loop: a re-run
-            // at the same rate offers identical load.
-            let schedule =
-                arrival_schedule(rate_per_sec, arrival, requests, 0x00DD_5EED ^ rate_per_sec);
-            let summary = run_wall_clock_open_loop(
-                config.threads,
-                &schedule,
-                |t| {
-                    let socket = SocketOverrideGuard::new(t % config.virtual_sockets.max(1));
-                    (socket, (t as u64 + 1) * 0x9E37_79B9)
-                },
-                |(_socket, seed), request| {
-                    let key = splitmix64(request as u64) % KEY_SPACE;
-                    map.incr(key, config.critical_work);
-                    spin_work(config.non_critical_work, seed);
-                },
-            );
-            RunResult {
-                algorithm: id.name().to_string(),
-                ops_per_thread: summary.served_per_worker.clone(),
-                elapsed: Duration::from_nanos(summary.elapsed_ns),
-                open_loop: Some(summary),
-            }
-        }
-    };
+    let summary = run_wall_clock(
+        config.threads,
+        config.load,
+        config.duration,
+        |t| {
+            let socket = SocketOverrideGuard::new(t % config.virtual_sockets.max(1));
+            (socket, (t as u64 + 1) * 0x9E37_79B9)
+        },
+        |(_socket, seed), request| {
+            map.incr(splitmix64(request as u64) % KEY_SPACE, config.critical_work);
+            spin_work(config.non_critical_work, seed);
+        },
+    );
+    let result = RunResult::from_driver(id.name(), config.load, summary);
     map.check_consistency();
     // Cross-shard mutual-exclusion check: per-shard op counters (maintained
     // under the shard locks) must account for every completed operation.
@@ -198,51 +174,11 @@ pub fn run_sharded_kvmap(id: LockId, config: &RunConfig) -> RunResult {
     result
 }
 
-fn run_closed(map: &ShardedKvMap, config: &RunConfig) -> RunResult {
-    let stop = AtomicBool::new(false);
-    let start = Instant::now();
-    let ops_per_thread: Vec<u64> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..config.threads.max(1))
-            .map(|t| {
-                let (stop, map) = (&stop, &map);
-                scope.spawn(move || {
-                    let _socket = SocketOverrideGuard::new(t % config.virtual_sockets.max(1));
-                    let mut key_seed = (t as u64 + 1) * 0x9E37_79B9;
-                    let mut local_ops = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        // Same xorshift step as `spin_work`, reused as the
-                        // per-thread key stream.
-                        key_seed ^= key_seed << 13;
-                        key_seed ^= key_seed >> 7;
-                        key_seed ^= key_seed << 17;
-                        map.incr(key_seed % KEY_SPACE, config.critical_work);
-                        let mut scratch = key_seed;
-                        spin_work(config.non_critical_work, &mut scratch);
-                        local_ops += 1;
-                    }
-                    local_ops
-                })
-            })
-            .collect();
-        std::thread::sleep(config.duration);
-        stop.store(true, Ordering::Relaxed);
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sharded kv-map worker panicked"))
-            .collect()
-    });
-    RunResult {
-        algorithm: map.algorithm().to_string(),
-        ops_per_thread,
-        elapsed: start.elapsed(),
-        open_loop: None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiments::load::Arrival;
+    use std::time::Duration;
 
     #[test]
     fn keys_route_deterministically_and_cover_all_shards() {

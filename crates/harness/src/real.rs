@@ -15,26 +15,23 @@
 //!   [`request_count`]), so at low offered rates it outlives
 //!   [`RunConfig::duration`] to collect enough samples.
 //!
-//! One [`RunConfig`] drives both modes; closed-loop is the degenerate case
-//! with no arrival schedule. Used by the Criterion latency benches, the
+//! One [`RunConfig`] and one worker closure pair drive both modes through
+//! [`run_wall_clock`]; closed-loop is the degenerate arrival process
+//! "re-arrive on completion". Used by the Criterion latency benches, the
 //! examples, the integration tests and the [`SubstrateRunner`]'s kvmap
 //! workload.
 //!
 //! [`SubstrateRunner`]: crate::experiments::SubstrateRunner
+//! [`request_count`]: crate::experiments::openloop::request_count
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use numa_topology::SocketOverrideGuard;
 use registry::LockId;
 use sync_core::raw::RawLock;
-use sync_core::CachePadded;
 
 use crate::experiments::load::{Arrival, LoadMode};
-use crate::experiments::openloop::{
-    arrival_schedule, request_count, run_wall_clock_open_loop, OpenLoopSummary,
-};
+use crate::experiments::openloop::{run_wall_clock, OpenLoopSummary};
 use crate::scale::Scale;
 
 /// Configuration of a real-thread contention run (closed- or open-loop).
@@ -116,6 +113,17 @@ pub struct RunResult {
 }
 
 impl RunResult {
+    /// Wraps what [`run_wall_clock`] measured under `load`; only open-loop
+    /// runs keep the summary.
+    pub(crate) fn from_driver(algorithm: &str, load: LoadMode, summary: OpenLoopSummary) -> Self {
+        RunResult {
+            algorithm: algorithm.to_string(),
+            ops_per_thread: summary.served_per_worker.clone(),
+            elapsed: Duration::from_nanos(summary.elapsed_ns),
+            open_loop: load.is_open().then_some(summary),
+        }
+    }
+
     /// Total completed critical sections.
     pub fn total_ops(&self) -> u64 {
         self.ops_per_thread.iter().sum()
@@ -145,47 +153,38 @@ pub(crate) fn spin_work(iters: u32, seed: &mut u64) {
     std::hint::black_box(*seed);
 }
 
-/// The shared state every worker thread touches: the lock, the protected
-/// (non-atomic) counter whose final value cross-checks mutual exclusion,
-/// and the published per-thread op counts.
+/// The shared state every worker thread touches: the lock and the protected
+/// (non-atomic) counter whose final value cross-checks mutual exclusion.
+#[derive(Default)]
 struct Shared<L> {
     lock: L,
     counter: std::cell::UnsafeCell<u64>,
-    counts: Vec<CachePadded<AtomicU64>>,
 }
 // SAFETY: the counter is only accessed while `lock` is held.
 unsafe impl<L: Sync> Sync for Shared<L> {}
 
 impl<L: RawLock> Shared<L> {
-    fn new(threads: usize) -> Arc<Self> {
-        Arc::new(Shared {
-            lock: L::default(),
-            counter: std::cell::UnsafeCell::new(0),
-            counts: (0..threads)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
-        })
+    /// One request: the counted critical section, then the non-critical
+    /// work.
+    fn serve(&self, node: &L::Node, config: &RunConfig, seed: &mut u64) {
+        // SAFETY: the node lives in the worker's state for the whole
+        // acquisition; the counter is only touched under the lock.
+        unsafe {
+            self.lock.lock(node);
+            *self.counter.get() += 1;
+            spin_work(config.critical_work, seed);
+            self.lock.unlock(node);
+        }
+        spin_work(config.non_critical_work, seed);
     }
 
-    fn ops_per_thread(&self) -> Vec<u64> {
-        self.counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Asserts the mutual-exclusion invariant after every worker joined.
-    fn check_mutual_exclusion(&self) {
-        self.check_served(self.ops_per_thread().iter().sum::<u64>());
-    }
-
-    /// Asserts the protected counter matches an externally tracked op total
-    /// (the open-loop driver counts served requests itself).
-    fn check_served(&self, expected: u64) {
-        // SAFETY: all workers have joined; no concurrent access remains.
-        let protected_total = unsafe { *self.counter.get() };
+    /// Asserts the mutual-exclusion invariant after every worker joined:
+    /// the protected counter equals the number of requests the driver
+    /// counted as served.
+    fn check_mutual_exclusion(&mut self, served: u64) {
         assert_eq!(
-            protected_total, expected,
+            *self.counter.get_mut(),
+            served,
             "mutual exclusion violated: protected counter diverged from op counts"
         );
     }
@@ -201,111 +200,19 @@ pub fn run_real_contention<L>(config: &RunConfig) -> RunResult
 where
     L: RawLock + 'static,
 {
-    match config.load {
-        LoadMode::Closed => run_closed_loop::<L>(config),
-        LoadMode::Open {
-            rate_per_sec,
-            arrival,
-        } => run_open_loop::<L>(config, rate_per_sec, arrival),
-    }
-}
-
-fn run_closed_loop<L>(config: &RunConfig) -> RunResult
-where
-    L: RawLock + 'static,
-{
-    let shared = Shared::<L>::new(config.threads);
-    let stop = Arc::new(AtomicBool::new(false));
-
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for t in 0..config.threads {
-            let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&stop);
-            let cfg = config.clone();
-            scope.spawn(move || {
-                let _socket = SocketOverrideGuard::new(t % cfg.virtual_sockets.max(1));
-                let node = L::Node::default();
-                let mut seed = (t as u64 + 1) * 0x9E37_79B9;
-                let mut local_ops = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    // SAFETY: the node lives on this frame for the whole
-                    // acquisition; the counter is only touched under the lock.
-                    unsafe {
-                        shared.lock.lock(&node);
-                        *shared.counter.get() += 1;
-                        spin_work(cfg.critical_work, &mut seed);
-                        shared.lock.unlock(&node);
-                    }
-                    spin_work(cfg.non_critical_work, &mut seed);
-                    local_ops += 1;
-                    // Publish progress occasionally so the main thread's stop
-                    // signal is honoured promptly.
-                    if local_ops.is_multiple_of(64) {
-                        shared.counts[t].store(local_ops, Ordering::Relaxed);
-                    }
-                }
-                shared.counts[t].store(local_ops, Ordering::Relaxed);
-            });
-        }
-        std::thread::sleep(config.duration);
-        stop.store(true, Ordering::Relaxed);
-    });
-    let elapsed = start.elapsed();
-
-    shared.check_mutual_exclusion();
-    RunResult {
-        algorithm: L::NAME.to_string(),
-        ops_per_thread: shared.ops_per_thread(),
-        elapsed,
-        open_loop: None,
-    }
-}
-
-/// The open-loop service run: requests arrive on a precomputed schedule of
-/// wall-clock offsets; workers pull the next request index from a shared
-/// counter, wait for its arrival time, then serve it under the lock. The
-/// run ends when the schedule drains (every request served), so saturating
-/// rates produce growing sojourn times rather than dropped requests.
-fn run_open_loop<L>(config: &RunConfig, rate_per_sec: u64, arrival: Arrival) -> RunResult
-where
-    L: RawLock + 'static,
-{
-    let horizon_ns = u64::try_from(config.duration.as_nanos()).unwrap_or(u64::MAX);
-    let requests = request_count(rate_per_sec, horizon_ns);
-    // One fixed schedule seed per rate: a re-run at the same rate offers the
-    // identical load, so baseline diffs compare like against like.
-    let schedule = arrival_schedule(rate_per_sec, arrival, requests, 0x00DD_5EED ^ rate_per_sec);
-    let shared = Shared::<L>::new(config.threads);
-
-    let summary = run_wall_clock_open_loop(
+    let mut shared = Shared::<L>::default();
+    let summary = run_wall_clock(
         config.threads,
-        &schedule,
+        config.load,
+        config.duration,
         |t| {
             let socket = SocketOverrideGuard::new(t % config.virtual_sockets.max(1));
             (socket, L::Node::default(), (t as u64 + 1) * 0x9E37_79B9)
         },
-        |(_socket, node, seed), _request| {
-            // SAFETY: the node lives in the worker's state for the whole
-            // acquisition; the counter is only touched under the lock.
-            unsafe {
-                shared.lock.lock(node);
-                *shared.counter.get() += 1;
-                spin_work(config.critical_work, seed);
-                shared.lock.unlock(node);
-            }
-            spin_work(config.non_critical_work, seed);
-        },
+        |(_socket, node, seed), _request| shared.serve(node, config, seed),
     );
-
-    shared.check_served(summary.served());
-    debug_assert_eq!(summary.histogram.count(), requests as u64);
-    RunResult {
-        algorithm: L::NAME.to_string(),
-        ops_per_thread: summary.served_per_worker.clone(),
-        elapsed: Duration::from_nanos(summary.elapsed_ns),
-        open_loop: Some(summary),
-    }
+    shared.check_mutual_exclusion(summary.served());
+    RunResult::from_driver(L::NAME, config.load, summary)
 }
 
 /// Registry-driven counterpart of [`run_real_contention`]: the algorithm is

@@ -1460,7 +1460,13 @@ pub fn explore<S: Send + Sync>(cfg: &Config, scenario: &Scenario<'_, S>) -> Repo
                 break;
             }
         }
-        stop.store(true, Ordering::Release);
+        // Workers test `stop` and park under the core mutex; storing it
+        // under the same mutex keeps the store from slipping between a
+        // worker's test and its `wait`, which would lose this wake-up.
+        {
+            let _g = lock_core();
+            stop.store(true, Ordering::Release);
+        }
         core().cv.notify_all();
     });
 

@@ -1,7 +1,22 @@
 //! The discrete-event simulation engine.
+//!
+//! One engine serves both load shapes; they differ only in the *arrival
+//! process* that hands a simulated thread its next operation:
+//!
+//! * **closed** ([`Simulation::run`]) — a thread's next operation arrives
+//!   the instant its last one completes, and the run stops at the virtual
+//!   horizon. The paper's methodology; the observable is throughput.
+//! * **scheduled** ([`Simulation::run_schedule`]) — request `i` arrives at a
+//!   precomputed offset whatever the workers are doing, goes to an idle
+//!   worker or waits in a FIFO, and the run drains every request. The
+//!   observables are per-request sojourn and the queue depth at each
+//!   arrival.
+//!
+//! Everything between arrival and completion — grant, data accesses,
+//! release, hand-over, recheck, statistics — is the same code.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::cost::CostModel;
 use crate::lock_model::{Grant, LockAlgorithm, LockModel, Waiter};
@@ -65,10 +80,34 @@ impl Simulation {
         self
     }
 
-    /// Runs the simulation to completion and returns its statistics.
+    /// Runs the simulation closed-loop — every thread starts its next
+    /// operation the instant the last one completes — for the configured
+    /// virtual duration, and returns its statistics.
     pub fn run(self) -> SimResult {
-        Engine::new(&self).run()
+        Engine::new(&self, Arrivals::Closed).run()
     }
+
+    /// Runs the simulation open-loop: request `i` arrives `arrivals[i]`
+    /// nanoseconds after the start (offsets non-decreasing) and is served by
+    /// the first idle thread, waiting in a FIFO while all are busy. The run
+    /// ends when every request is served, so the configured virtual duration
+    /// does not apply and [`SimResult::duration_ns`] is the makespan.
+    ///
+    /// [`SimResult::sojourn_ns`] and [`SimResult::depth_at_arrival`] are
+    /// indexed like `arrivals`; a request's operation is drawn from the seed
+    /// and its index alone, so every lock algorithm serves the same requests.
+    pub fn run_schedule(self, arrivals: &[u64]) -> SimResult {
+        Engine::new(&self, Arrivals::Scheduled(arrivals)).run()
+    }
+}
+
+/// What hands a thread its next operation.
+#[derive(Clone, Copy)]
+enum Arrivals<'a> {
+    /// The completion of its previous operation, until the horizon.
+    Closed,
+    /// A dispatcher serving requests that arrive at these offsets.
+    Scheduled(&'a [u64]),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,10 +155,13 @@ struct ThreadState {
     step_idx: usize,
     ops: u64,
     waiting_since: u64,
+    /// Schedule index of the request being served (scheduled arrivals only).
+    request: usize,
 }
 
 struct Engine<'a> {
     sim: &'a Simulation,
+    arrivals: Arrivals<'a>,
     rng: SimRng,
     heap: BinaryHeap<Reverse<Scheduled>>,
     seq: u64,
@@ -127,10 +169,17 @@ struct Engine<'a> {
     threads: Vec<ThreadState>,
     remote_transfers: u64,
     local_accesses: u64,
+    // The dispatcher of scheduled arrivals; untouched by closed runs.
+    idle: Vec<usize>,
+    pending: VecDeque<usize>,
+    in_system: u64,
+    sojourn_ns: Vec<u64>,
+    depth_at_arrival: Vec<u64>,
+    last_completion_ns: u64,
 }
 
 impl<'a> Engine<'a> {
-    fn new(sim: &'a Simulation) -> Self {
+    fn new(sim: &'a Simulation, arrivals: Arrivals<'a>) -> Self {
         let locks = sim
             .workload
             .locks
@@ -152,15 +201,32 @@ impl<'a> Engine<'a> {
                 },
             })
             .collect();
+        let threads = (0..sim.threads)
+            .map(|t| ThreadState {
+                socket: sim.machine.socket_of_thread(t),
+                steps: Vec::new(),
+                step_idx: 0,
+                ops: 0,
+                waiting_since: 0,
+                request: 0,
+            })
+            .collect();
         Engine {
             sim,
+            arrivals,
             rng: SimRng::new(sim.seed),
             heap: BinaryHeap::new(),
             seq: 0,
             locks,
-            threads: Vec::new(),
+            threads,
             remote_transfers: 0,
             local_accesses: 0,
+            idle: Vec::new(),
+            pending: VecDeque::new(),
+            in_system: 0,
+            sojourn_ns: Vec::new(),
+            depth_at_arrival: Vec::new(),
+            last_completion_ns: 0,
         }
     }
 
@@ -174,30 +240,52 @@ impl<'a> Engine<'a> {
     }
 
     fn run(mut self) -> SimResult {
-        for i in 0..self.sim.threads {
-            let mut rng = SimRng::new(self.sim.seed.wrapping_add(i as u64 * 7919));
-            let steps = self.sim.workload.generate_op(&mut rng);
-            self.threads.push(ThreadState {
-                socket: self.sim.machine.socket_of_thread(i),
-                steps,
-                step_idx: 0,
-                ops: 0,
-                waiting_since: 0,
-            });
-            // Stagger starts by a few ns so thread 0 does not always win ties.
-            self.schedule(i as u64, Event::ThreadReady(i));
-        }
+        let (schedule, horizon_ns): (&[u64], u64) = match self.arrivals {
+            Arrivals::Closed => {
+                for t in 0..self.sim.threads {
+                    self.start_closed_op(t);
+                    // Stagger starts by a few ns so thread 0 does not always
+                    // win ties.
+                    self.schedule(t as u64, Event::ThreadReady(t));
+                }
+                (&[], self.sim.duration_ns)
+            }
+            Arrivals::Scheduled(schedule) => {
+                self.idle = (0..self.sim.threads).rev().collect();
+                self.sojourn_ns = vec![0; schedule.len()];
+                self.depth_at_arrival.reserve_exact(schedule.len());
+                (schedule, u64::MAX)
+            }
+        };
 
-        while let Some(Reverse(next)) = self.heap.pop() {
-            if next.time > self.sim.duration_ns {
-                break;
-            }
-            match next.event {
-                Event::ThreadReady(t) => self.advance_thread(t, next.time),
-                Event::Release { thread, lock } => self.handle_release(thread, lock, next.time),
-                Event::Recheck(lock) => self.handle_recheck(lock, next.time),
+        // The schedule is already in time order, so arrivals are merged
+        // with the heap instead of travelling through it; an arrival due at
+        // the same instant as a heap event goes first.
+        let mut arrived = 0;
+        loop {
+            let next_event_ns = self.heap.peek().map_or(u64::MAX, |Reverse(e)| e.time);
+            match schedule.get(arrived) {
+                Some(&at) if at <= next_event_ns => {
+                    self.handle_arrival(arrived, at);
+                    arrived += 1;
+                }
+                _ => {
+                    let Some(Reverse(next)) = self.heap.pop() else {
+                        break;
+                    };
+                    if next.time > horizon_ns {
+                        break;
+                    }
+                    let now = next.time;
+                    match next.event {
+                        Event::ThreadReady(t) => self.advance_thread(t, now),
+                        Event::Release { thread, lock } => self.handle_release(thread, lock, now),
+                        Event::Recheck(lock) => self.handle_recheck(lock, now),
+                    }
+                }
             }
         }
+        debug_assert_eq!(self.in_system, 0, "a drained run leaves no request behind");
 
         let ops_per_thread: Vec<u64> = self.threads.iter().map(|t| t.ops).collect();
         SimResult {
@@ -205,7 +293,10 @@ impl<'a> Engine<'a> {
             workload: self.sim.workload.name.clone(),
             machine: self.sim.machine.label.to_string(),
             threads: self.sim.threads,
-            duration_ns: self.sim.duration_ns,
+            duration_ns: match self.arrivals {
+                Arrivals::Closed => self.sim.duration_ns,
+                Arrivals::Scheduled(_) => self.last_completion_ns.max(1),
+            },
             total_ops: ops_per_thread.iter().sum(),
             ops_per_thread,
             remote_transfers: self.remote_transfers,
@@ -219,6 +310,84 @@ impl<'a> Engine<'a> {
                     s
                 })
                 .collect(),
+            sojourn_ns: self.sojourn_ns,
+            depth_at_arrival: self.depth_at_arrival,
+        }
+    }
+
+    /// Instantiates thread `t`'s next operation from `op_seed`, reusing the
+    /// thread's step buffer.
+    fn start_op(&mut self, t: usize, op_seed: u64) {
+        let mut rng = SimRng::new(op_seed);
+        let thread = &mut self.threads[t];
+        self.sim
+            .workload
+            .generate_op_into(&mut rng, &mut thread.steps);
+        thread.step_idx = 0;
+    }
+
+    /// Closed loop: the operation is a function of the thread and how many
+    /// operations it has completed.
+    fn start_closed_op(&mut self, t: usize) {
+        let op_seed = self
+            .sim
+            .seed
+            .wrapping_add(t as u64 * 7919)
+            .wrapping_add(self.threads[t].ops.wrapping_mul(104_729));
+        self.start_op(t, op_seed);
+    }
+
+    /// Scheduled arrivals: the operation is a function of the request, not
+    /// of the worker that happens to serve it.
+    fn assign(&mut self, t: usize, request: usize) {
+        self.threads[t].request = request;
+        let op_seed = self
+            .sim
+            .seed
+            .wrapping_add((request as u64).wrapping_mul(104_729));
+        self.start_op(t, op_seed);
+    }
+
+    fn handle_arrival(&mut self, i: usize, now: u64) {
+        self.in_system += 1;
+        self.depth_at_arrival.push(self.in_system);
+        match self.idle.pop() {
+            Some(t) => {
+                self.assign(t, i);
+                self.advance_thread(t, now);
+            }
+            None => self.pending.push_back(i),
+        }
+    }
+
+    /// Thread `t` completed an operation at `now`: starts its next one and
+    /// returns `true`, or parks the thread as idle and returns `false` when
+    /// no request is waiting.
+    fn next_op(&mut self, t: usize, now: u64) -> bool {
+        self.threads[t].ops += 1;
+        match self.arrivals {
+            Arrivals::Closed => {
+                self.start_closed_op(t);
+                true
+            }
+            Arrivals::Scheduled(schedule) => {
+                let served = self.threads[t].request;
+                // From the scheduled arrival, not from dispatch: time spent
+                // in the pending FIFO counts (no coordinated omission).
+                self.sojourn_ns[served] = now - schedule[served];
+                self.in_system -= 1;
+                self.last_completion_ns = now;
+                match self.pending.pop_front() {
+                    Some(request) => {
+                        self.assign(t, request);
+                        true
+                    }
+                    None => {
+                        self.idle.push(t);
+                        false
+                    }
+                }
+            }
         }
     }
 
@@ -226,17 +395,8 @@ impl<'a> Engine<'a> {
     /// going) starting at time `now`.
     fn advance_thread(&mut self, t: usize, now: u64) {
         loop {
-            // Op finished?
-            if self.threads[t].step_idx >= self.threads[t].steps.len() {
-                self.threads[t].ops += 1;
-                let mut rng = SimRng::new(
-                    self.sim
-                        .seed
-                        .wrapping_add(t as u64 * 7919)
-                        .wrapping_add(self.threads[t].ops.wrapping_mul(104_729)),
-                );
-                self.threads[t].steps = self.sim.workload.generate_op(&mut rng);
-                self.threads[t].step_idx = 0;
+            if self.threads[t].step_idx >= self.threads[t].steps.len() && !self.next_op(t, now) {
+                return;
             }
             let step = self.threads[t].steps[self.threads[t].step_idx].clone();
             match step {
@@ -322,23 +482,25 @@ impl<'a> Engine<'a> {
             }
         } + extra_ns;
 
-        // Critical-section data accesses against the lock's data region.
+        // Critical-section data accesses against the lock's data region:
+        // each touches a random line, remote if another socket owns it, and
+        // a write migrates the line to this socket. Counted without a
+        // per-line branch — which socket owns a random line is a coin toss
+        // under FIFO hand-over.
         let lines = state.line_owner.len() as u64;
-        let mut data_ns = 0;
+        let accesses = (reads + writes) as u64;
+        let mut remote = 0;
         for i in 0..(reads + writes) {
             let line = self.rng.next_below(lines) as usize;
-            let owner = state.line_owner[line];
-            data_ns += cost.line_access_ns(owner, socket);
-            if cost.is_remote(owner, socket) {
-                self.remote_transfers += 1;
-            } else {
-                self.local_accesses += 1;
-            }
+            remote += u64::from(cost.is_remote(state.line_owner[line], socket));
             if i >= reads {
-                // This is a write: the line migrates to our socket.
                 state.line_owner[line] = socket;
             }
         }
+        let local = accesses - remote;
+        let data_ns = remote * cost.remote_line_ns + local * cost.local_line_ns;
+        self.remote_transfers += remote;
+        self.local_accesses += local;
 
         state.held = true;
         state.holder_socket = socket;
@@ -648,5 +810,132 @@ mod tests {
         .seed(42)
         .run();
         assert_eq!(r.total_ops, baseline.total_ops);
+    }
+
+    /// Fixed-rate arrivals every `gap_ns`.
+    fn every(gap_ns: u64, requests: u64) -> Vec<u64> {
+        (0..requests).map(|i| i * gap_ns).collect()
+    }
+
+    fn scheduled(algorithm: LockAlgorithm, workers: usize, arrivals: &[u64]) -> SimResult {
+        Simulation::new(
+            MachineConfig::two_socket_paper(),
+            CostModel::two_socket_xeon(),
+            algorithm,
+            Workload::kv_map_no_external_work(),
+        )
+        .threads(workers)
+        .seed(42)
+        .run_schedule(arrivals)
+    }
+
+    /// One jitter-free critical section per request, so every cost the
+    /// engine charges can be predicted exactly.
+    fn fixed_cost_workload() -> Workload {
+        use crate::workload::{LockChoice, LockSpec, OpTemplate, StepTemplate};
+        Workload::new(
+            "fixed",
+            vec![LockSpec {
+                name: "l".into(),
+                data_lines: 16,
+            }],
+            vec![OpTemplate {
+                weight: 1.0,
+                label: "op",
+                steps: vec![StepTemplate::Critical {
+                    lock: LockChoice::Fixed(0),
+                    service_ns: 100,
+                    jitter: 0.0,
+                    reads: 4,
+                    writes: 2,
+                }],
+            }],
+        )
+    }
+
+    /// What one uncontended, all-local `fixed_cost_workload` request costs.
+    fn fixed_cost_ns(cost: &CostModel) -> u64 {
+        cost.uncontended_acquire_ns + cost.local_line_ns + 100 + 6 * cost.local_line_ns
+    }
+
+    #[test]
+    fn a_saturating_schedule_behaves_like_the_closed_loop() {
+        // With arrivals far faster than service every worker always has a
+        // request waiting — the closed loop, reached through the dispatcher.
+        for algorithm in [LockAlgorithm::Mcs, LockAlgorithm::Cna] {
+            let closed = run(algorithm, 8, MachineConfig::two_socket_paper());
+            let open = scheduled(algorithm, 8, &every(10, closed.total_ops));
+            assert_eq!(open.total_ops, closed.total_ops, "every request is served");
+            assert_eq!(open.ops_per_thread.len(), 8);
+            let within_10_percent = |open: f64, closed: f64| (open - closed).abs() <= closed * 0.1;
+            assert!(
+                within_10_percent(open.throughput_ops_per_us(), closed.throughput_ops_per_us()),
+                "{}: open {:.3} vs closed {:.3} ops/us",
+                algorithm.name(),
+                open.throughput_ops_per_us(),
+                closed.throughput_ops_per_us()
+            );
+            assert!(
+                within_10_percent(
+                    open.local_handover_fraction(),
+                    closed.local_handover_fraction()
+                ),
+                "{}: open {:.3} vs closed {:.3} local hand-overs",
+                algorithm.name(),
+                open.local_handover_fraction(),
+                closed.local_handover_fraction()
+            );
+            // The same engine keeps the same books in both modes.
+            assert_eq!(open.locks[0].acquisitions, open.total_ops);
+            assert!(open.remote_transfers > 0 && open.local_accesses > 0);
+        }
+    }
+
+    #[test]
+    fn far_below_capacity_a_request_costs_what_the_cost_model_predicts() {
+        let cost = CostModel::two_socket_xeon();
+        let arrivals = every(10_000, 200);
+        let result = Simulation::new(
+            MachineConfig::two_socket_paper(),
+            cost,
+            LockAlgorithm::Cna,
+            fixed_cost_workload(),
+        )
+        .threads(4)
+        .run_schedule(&arrivals);
+        // The most recently idled worker takes each request, so one thread
+        // on one socket serves them all: no waiting, no remote line.
+        assert_eq!(result.ops_per_thread, vec![200, 0, 0, 0]);
+        assert!(result.sojourn_ns.iter().all(|&s| s == fixed_cost_ns(&cost)));
+        assert!(result.depth_at_arrival.iter().all(|&d| d == 1));
+        assert_eq!(result.locks[0].uncontended, 200);
+        assert_eq!(result.remote_transfers, 0);
+        assert_eq!(result.duration_ns, 199 * 10_000 + fixed_cost_ns(&cost));
+    }
+
+    #[test]
+    fn overload_is_charged_to_the_requests_that_waited() {
+        // One worker, arrivals ten times faster than it can serve. Request
+        // `i` arrives at `i·gap` and completes at `(i+1)·service`, so its
+        // sojourn grows linearly with `i` — because it is measured from the
+        // scheduled arrival. Measured from dispatch (coordinated omission)
+        // every request would report the bare service time.
+        let cost = CostModel::two_socket_xeon();
+        let service = fixed_cost_ns(&cost);
+        let gap = service / 10;
+        let result = Simulation::new(
+            MachineConfig::two_socket_paper(),
+            cost,
+            LockAlgorithm::Mcs,
+            fixed_cost_workload(),
+        )
+        .run_schedule(&every(gap, 1_000));
+        for (i, &sojourn) in result.sojourn_ns.iter().enumerate() {
+            assert_eq!(sojourn, service + i as u64 * (service - gap), "request {i}");
+        }
+        assert_eq!(result.total_ops, 1_000, "overload delays, never drops");
+        assert_eq!(result.duration_ns, 1_000 * service);
+        assert!(result.depth_at_arrival.windows(2).all(|w| w[0] <= w[1]));
+        assert!(*result.depth_at_arrival.last().unwrap() > 850);
     }
 }

@@ -65,7 +65,7 @@ pub trait LockModel: Send {
     /// while they wait). For every classic lock this is all of them; locks
     /// that restrict concurrency (MCSCR's passive list) report only their
     /// active set, which is what shields them from the oversubscription
-    /// preemption penalty the engines charge when runnable threads exceed
+    /// preemption penalty the engine charges when runnable threads exceed
     /// simulated CPUs.
     fn spinning(&self) -> usize {
         self.waiting()

@@ -44,6 +44,14 @@ pub struct SimResult {
     pub local_accesses: u64,
     /// Per-lock statistics.
     pub locks: Vec<LockStats>,
+    /// Per-request sojourn in nanoseconds, from the request's *scheduled*
+    /// arrival to its completion, indexed like the arrival schedule. Empty
+    /// for closed-loop runs, which have no requests.
+    pub sojourn_ns: Vec<u64>,
+    /// Requests in the system (arrived, not yet completed) at each arrival,
+    /// the arriving one included; indexed like the arrival schedule. Empty
+    /// for closed-loop runs.
+    pub depth_at_arrival: Vec<u64>,
 }
 
 impl SimResult {
@@ -129,6 +137,8 @@ mod tests {
             remote_transfers: remote,
             local_accesses: 0,
             locks: vec![],
+            sojourn_ns: vec![],
+            depth_at_arrival: vec![],
         }
     }
 

@@ -124,6 +124,14 @@ impl Workload {
 
     /// Instantiates one operation for a thread.
     pub fn generate_op(&self, rng: &mut SimRng) -> Vec<Step> {
+        let mut steps = Vec::new();
+        self.generate_op_into(rng, &mut steps);
+        steps
+    }
+
+    /// [`Self::generate_op`] into a caller-owned buffer (cleared first), so a
+    /// simulated thread reuses one allocation for all its operations.
+    pub fn generate_op_into(&self, rng: &mut SimRng, steps: &mut Vec<Step>) {
         let total: f64 = self.ops.iter().map(|t| t.weight).sum();
         let mut pick = rng.next_f64() * total;
         let mut template = &self.ops[self.ops.len() - 1];
@@ -134,11 +142,8 @@ impl Workload {
             }
             pick -= t.weight;
         }
-        template
-            .steps
-            .iter()
-            .map(|s| self.instantiate(s, rng))
-            .collect()
+        steps.clear();
+        steps.extend(template.steps.iter().map(|s| self.instantiate(s, rng)));
     }
 
     fn instantiate(&self, step: &StepTemplate, rng: &mut SimRng) -> Step {

@@ -216,3 +216,27 @@ fn fairness_metric_runs_on_both_runners() {
         );
     }
 }
+
+#[test]
+fn smoke_sim_sweep_matches_the_checked_in_baseline_byte_for_byte() {
+    // The spec CI's `lockbench sweep --id smoke-sim …` builds. The simulator
+    // is deterministic, so any difference from the stored report is an
+    // engine or report-format drift, however small.
+    let report = ExperimentSpec::new("smoke-sim")
+        .locks(vec![
+            LockId::Cna,
+            LockId::Mcs,
+            LockId::QSpinStock,
+            LockId::QSpinCna,
+            LockId::Fissile,
+            LockId::Mcscr,
+        ])
+        .workload(WorkloadId::Sim.to_spec())
+        .threads(vec![1, 2, 4, 8])
+        .scale(Scale::Smoke)
+        .run()
+        .expect("smoke-sim sweep runs");
+    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/baselines/smoke-sim.csv");
+    let expected = std::fs::read_to_string(baseline).expect("baseline is checked in");
+    assert_eq!(report.to_csv(), expected, "drifted from {baseline}");
+}

@@ -2,6 +2,7 @@
 
 use std::cell::UnsafeCell;
 use std::fmt;
+use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 
 use crate::node_pool;
@@ -12,8 +13,11 @@ use crate::raw::{RawLock, RawTryLock};
 /// `LockMutex<T, L>` is to this workspace what an interposed
 /// `pthread_mutex_t` is to LiTL: client code holds data behind it and is
 /// oblivious to whether `L` is MCS, CNA, a cohort lock, or a plain
-/// test-and-set lock. Queue nodes are drawn from a thread-local pool, so the
-/// fast path performs no allocation in steady state.
+/// test-and-set lock. Queue nodes are drawn from the per-thread
+/// [`node_pool`], so the fast path performs no allocation in steady state:
+/// what the wrapper adds to the raw lock is one pop and one push on a
+/// thread-local free list found by `TypeId` equality, and nothing at all for
+/// algorithms whose node is zero-sized.
 ///
 /// # Examples
 ///
@@ -73,6 +77,7 @@ where
         LockGuard {
             mutex: self,
             node: Some(node),
+            _not_send: PhantomData,
         }
     }
 
@@ -88,6 +93,7 @@ where
             Some(LockGuard {
                 mutex: self,
                 node: Some(node),
+                _not_send: PhantomData,
             })
         } else {
             node_pool::release(node);
@@ -137,6 +143,20 @@ impl<T: ?Sized + fmt::Debug, L: RawLock> fmt::Debug for LockMutex<T, L> {
 }
 
 /// RAII guard returned by [`LockMutex::lock`]; releases the lock on drop.
+///
+/// The guard is `!Send`, like `std::sync::MutexGuard`: clause 3 of the
+/// [`RawLock`] contract has the acquiring thread release, and the node goes
+/// back to that thread's pool.
+///
+/// ```compile_fail,E0277
+/// use sync_core::{spinlock::TestAndSetLock, LockMutex};
+///
+/// let m: LockMutex<u32, TestAndSetLock> = LockMutex::new(0);
+/// std::thread::scope(|s| {
+///     let guard = m.lock();
+///     s.spawn(move || drop(guard)); // `*mut ()` cannot be sent between threads safely
+/// });
+/// ```
 pub struct LockGuard<'a, T: ?Sized, L: RawLock>
 where
     L::Node: 'static,
@@ -144,7 +164,13 @@ where
     mutex: &'a LockMutex<T, L>,
     /// Always `Some` until the destructor runs.
     node: Option<Box<L::Node>>,
+    _not_send: PhantomData<*mut ()>,
 }
+
+// SAFETY: all a `&LockGuard` gives another thread is `&T` (`Deref`, `Debug`),
+// hence `T: Sync`; the `mutex` and `node` fields are private and no `&self`
+// method reaches them. The marker is there to remove `Send`, not `Sync`.
+unsafe impl<T: ?Sized + Sync, L: RawLock> Sync for LockGuard<'_, T, L> where L::Node: 'static {}
 
 impl<T: ?Sized, L: RawLock> Deref for LockGuard<'_, T, L>
 where
@@ -246,6 +272,16 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(*m.lock(), (THREADS * ITERS) as u64);
+    }
+
+    #[test]
+    fn guard_is_sync_when_the_data_is() {
+        // `!Send` is pinned by the `compile_fail` doctest on `LockGuard`.
+        let m: TasMutex<i32> = LockMutex::new(5);
+        let g = m.lock();
+        std::thread::scope(|s| {
+            s.spawn(|| assert_eq!(*g, 5));
+        });
     }
 
     #[test]

@@ -31,8 +31,7 @@
 use std::path::Path;
 
 use harness::experiments::{
-    parse_batch_list, parse_rate_list, parse_shard_list, parse_thread_axis, Arrival, DiffThreshold,
-    ExperimentSpec, LoadSpec, Metric, RunReport, WorkloadId,
+    Arrival, Axis, AxisLists, DiffThreshold, ExperimentSpec, Metric, RunReport, WorkloadId,
 };
 use harness::{render_table, Scale};
 use registry::LockId;
@@ -76,21 +75,10 @@ pub struct SweepArgs {
     pub locks: Vec<LockId>,
     /// Workloads to run (`--workload sim,kvmap` or `all`).
     pub workloads: Vec<WorkloadId>,
-    /// Thread sweep (`--threads 1,2,4` / `1-8` / `2-16/2`); empty = the
-    /// scale's default sizing.
-    pub threads: Vec<usize>,
-    /// CPU-count multipliers from `x` tokens (`--threads 4x` / `1x-8x`);
-    /// resolved against the back-end's CPU count at run time and exempt
-    /// from the scale cap — the oversubscription axis.
-    pub thread_multipliers: Vec<usize>,
-    /// Shard-count sweep (`--shards 1,2,4,8`; kvmap only); empty = no
-    /// shard axis.
-    pub shards: Vec<usize>,
-    /// Group-commit batch sweep (`--batch 1,8,32`; leveldb only); empty =
-    /// the native write path.
-    pub batches: Vec<usize>,
-    /// Load shape (`--mode closed|open` with `--rate`/`--arrival`).
-    pub load: LoadSpec,
+    /// Every swept axis (`--threads`, `--shards`, `--batch`, `--rate`).
+    pub axes: AxisLists,
+    /// Inter-arrival distribution of open-loop cells (`--arrival`).
+    pub arrival: Arrival,
     /// Run sizing (`--scale smoke|ci|paper`; default from `SCALE`).
     pub scale: Scale,
     /// Measured quantity (`--metric throughput|p99|...`).
@@ -274,17 +262,13 @@ where
 {
     let mut locks: Option<Vec<LockId>> = None;
     let mut workloads: Option<Vec<WorkloadId>> = None;
-    let mut threads: Vec<usize> = Vec::new();
-    let mut thread_multipliers: Vec<usize> = Vec::new();
-    let mut shards: Vec<usize> = Vec::new();
-    let mut batches: Vec<usize> = Vec::new();
+    let mut axes = AxisLists::default();
     let mut scale = Scale::from_env();
     let mut metric = Metric::ThroughputOpsPerUs;
     let mut repetitions = 0usize;
     let mut duration_ms = None;
     let mut id = default_id.to_string();
     let mut mode: Option<String> = None;
-    let mut rates: Option<Vec<u64>> = None;
     let mut arrival: Option<Arrival> = None;
     while let Some(flag) = args.next() {
         let mut value_of = |flag: &str| {
@@ -300,30 +284,12 @@ where
                 let value = value_of(&flag)?;
                 workloads = Some(WorkloadId::parse_list(&value).map_err(|e| e.to_string())?);
             }
-            "--threads" => {
-                let value = value_of(&flag)?;
-                let axis = parse_thread_axis(&value).map_err(|e| e.to_string())?;
-                threads = axis.counts;
-                thread_multipliers = axis.multipliers;
-            }
-            "--shards" => {
-                let value = value_of(&flag)?;
-                shards = parse_shard_list(&value).map_err(|e| e.to_string())?;
-            }
-            "--batch" | "--batches" => {
-                let value = value_of(&flag)?;
-                batches = parse_batch_list(&value).map_err(|e| e.to_string())?;
-            }
             "--mode" => {
                 let value = value_of(&flag)?;
                 match value.as_str() {
                     "closed" | "open" => mode = Some(value),
                     other => return Err(format!("unknown mode {other:?} (valid: closed, open)")),
                 }
-            }
-            "--rate" | "--rates" => {
-                let value = value_of(&flag)?;
-                rates = Some(parse_rate_list(&value).map_err(|e| e.to_string())?);
             }
             "--arrival" => {
                 let value = value_of(&flag)?;
@@ -368,7 +334,13 @@ where
                 }
                 id = value;
             }
-            other => return Err(format!("unknown `run`/`sweep` flag {other:?}")),
+            other => match Axis::from_flag(other) {
+                Some(axis) => {
+                    let value = value_of(&flag)?;
+                    axes.parse(axis, &value).map_err(|e| e.to_string())?;
+                }
+                None => return Err(format!("unknown `run`/`sweep` flag {other:?}")),
+            },
         }
     }
     let locks = locks.ok_or("`run`/`sweep` requires --lock <names|all>")?;
@@ -381,33 +353,25 @@ where
     }
     // `--rate` implies open-loop; `--mode` only has to be spelled out to
     // catch contradictions early, before a grid runs for minutes.
-    let load = match (mode.as_deref(), rates) {
-        (Some("open"), None) => {
+    let open = axes.is_swept(Axis::Rate);
+    match (mode.as_deref(), open) {
+        (Some("open"), false) => {
             return Err("--mode open requires --rate <requests/sec list>".to_string())
         }
-        (Some("closed"), Some(_)) => {
+        (Some("closed"), true) => {
             return Err("--mode closed conflicts with --rate (rates are open-loop)".to_string())
         }
-        (_, Some(rates_per_sec)) => LoadSpec::Open {
-            rates_per_sec,
-            arrival: arrival.unwrap_or_default(),
-        },
-        (_, None) => {
-            if arrival.is_some() {
-                return Err("--arrival only applies to open-loop runs (add --rate)".to_string());
-            }
-            LoadSpec::Closed
+        (_, false) if arrival.is_some() => {
+            return Err("--arrival only applies to open-loop runs (add --rate)".to_string())
         }
-    };
+        _ => {}
+    }
     Ok(SweepArgs {
         id,
         locks,
         workloads,
-        threads,
-        thread_multipliers,
-        shards,
-        batches,
-        load,
+        axes,
+        arrival: arrival.unwrap_or_default(),
         scale,
         metric,
         repetitions,
@@ -475,7 +439,12 @@ fn workspace_root() -> std::path::PathBuf {
 
 /// Builds the [`ExperimentSpec`] a `run`/`sweep` invocation describes.
 pub fn build_spec(args: &SweepArgs) -> ExperimentSpec {
-    let mut spec = ExperimentSpec::new(&args.id)
+    let spec = ExperimentSpec {
+        axes: args.axes.clone(),
+        arrival: args.arrival,
+        ..ExperimentSpec::new(&args.id)
+    };
+    let mut spec = spec
         .title(format!(
             "lockbench {} ({} scale)",
             args.id,
@@ -483,11 +452,6 @@ pub fn build_spec(args: &SweepArgs) -> ExperimentSpec {
         ))
         .locks(args.locks.clone())
         .workloads(args.workloads.iter().map(|w| w.to_spec()).collect())
-        .threads(args.threads.clone())
-        .thread_multipliers(args.thread_multipliers.clone())
-        .shards(args.shards.clone())
-        .batches(args.batches.clone())
-        .load(args.load.clone())
         .scale(args.scale)
         .metric(args.metric)
         .repetitions(args.repetitions);
@@ -571,212 +535,121 @@ pub fn execute(command: &Command) -> Result<i32, String> {
 mod tests {
     use super::*;
 
-    fn strings(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
+    /// Parses a whitespace-separated command line.
+    fn parse(line: &str) -> Result<Command, String> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    /// Parses a `run`/`sweep` command line that must succeed.
+    fn sweep_args(line: &str) -> SweepArgs {
+        match parse(line) {
+            Ok(Command::Run(args) | Command::Sweep(args)) => args,
+            other => panic!("{line}: expected run/sweep, got {other:?}"),
+        }
     }
 
     #[test]
     fn parses_list_and_help() {
-        assert_eq!(
-            parse_args(strings(&["list"])).unwrap(),
-            Command::List { names_only: false }
-        );
-        assert_eq!(
-            parse_args(strings(&["list", "--names"])).unwrap(),
-            Command::List { names_only: true }
-        );
-        assert_eq!(parse_args(strings(&["--help"])).unwrap(), Command::Help);
-        assert_eq!(parse_args(Vec::new()).unwrap(), Command::Help);
-        assert!(parse_args(strings(&["frobnicate"])).is_err());
+        let list = |names_only| Ok(Command::List { names_only });
+        assert_eq!(parse("list"), list(false));
+        assert_eq!(parse("list --names"), list(true));
+        assert_eq!(parse("--help"), Ok(Command::Help));
+        assert_eq!(parse(""), Ok(Command::Help));
+        assert!(parse("frobnicate").is_err());
     }
 
     #[test]
     fn parses_a_full_sweep_command() {
-        let cmd = parse_args(strings(&[
-            "sweep",
-            "--lock",
-            "cna,mcs",
-            "--workload",
-            "sim,kvmap",
-            "--threads",
-            "1,2,4",
-            "--scale",
-            "smoke",
-            "--metric",
-            "fairness",
-            "--rep",
-            "2",
-            "--duration-ms",
-            "7",
-            "--id",
-            "my_report",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Sweep(args) => {
-                assert_eq!(args.locks, vec![LockId::Cna, LockId::Mcs]);
-                assert_eq!(args.workloads, vec![WorkloadId::Sim, WorkloadId::KvMap]);
-                assert_eq!(args.threads, vec![1, 2, 4]);
-                assert!(args.thread_multipliers.is_empty());
-                assert_eq!(args.load, LoadSpec::Closed);
-                assert_eq!(args.scale, Scale::Smoke);
-                assert_eq!(args.metric, Metric::FairnessFactor);
-                assert_eq!(args.repetitions, 2);
-                assert_eq!(args.duration_ms, Some(7));
-                assert_eq!(args.id, "my_report");
-            }
-            other => panic!("expected Sweep, got {other:?}"),
-        }
+        let args = sweep_args(
+            "sweep --lock cna,mcs --workload sim,kvmap --threads 1,2,4 --scale smoke \
+             --metric fairness --rep 2 --duration-ms 7 --id my_report",
+        );
+        assert_eq!(args.locks, vec![LockId::Cna, LockId::Mcs]);
+        assert_eq!(args.workloads, vec![WorkloadId::Sim, WorkloadId::KvMap]);
+        assert_eq!(args.axes, axes(&[(Axis::Threads, &[1, 2, 4])]));
+        assert_eq!(args.scale, Scale::Smoke);
+        assert_eq!(args.metric, Metric::FairnessFactor);
+        assert_eq!(args.repetitions, 2);
+        assert_eq!(args.duration_ms, Some(7));
+        assert_eq!(args.id, "my_report");
+        assert_eq!(
+            sweep_args("run --lock cna --workload sim").id,
+            "lockbench_run"
+        );
     }
 
     #[test]
-    fn threads_axis_splits_multiplier_tokens_from_plain_counts() {
-        let cmd = parse_args(strings(&[
-            "sweep",
-            "--lock",
-            "fissile,mcscr",
-            "--workload",
-            "sim",
-            "--threads",
-            "2,1x-4x/1,8x",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Sweep(args) => {
-                assert_eq!(args.locks, vec![LockId::Fissile, LockId::Mcscr]);
-                assert_eq!(args.threads, vec![2]);
-                assert_eq!(args.thread_multipliers, vec![1, 2, 3, 4, 8]);
-            }
-            other => panic!("expected Sweep, got {other:?}"),
+    fn every_axis_flag_fills_its_list_and_names_its_axis_in_errors() {
+        for (flag, list, axis, points) in [
+            ("--threads", "1-3", Axis::Threads, &[1, 2, 3][..]),
+            ("--shards", "1,2,4,8", Axis::Shards, &[1, 2, 4, 8]),
+            ("--batch", "1,8,32", Axis::Batch, &[1, 8, 32]),
+            ("--batches", "2-8/3", Axis::Batch, &[2, 5, 8]),
+            ("--rate", "1000,10000", Axis::Rate, &[1_000, 10_000]),
+            ("--rates", "500", Axis::Rate, &[500]),
+        ] {
+            let args = sweep_args(&format!("sweep --lock cna --workload kvmap {flag} {list}"));
+            assert_eq!(args.axes, axes(&[(axis, points)]), "{flag} {list}");
+            let err =
+                parse(&format!("sweep --lock cna --workload kvmap {flag} 0,junk")).unwrap_err();
+            let list_name = ["thread", "shard", "batch", "rate"][axis as usize];
+            assert!(
+                err.starts_with(&format!("invalid {list_name} list")),
+                "{err}"
+            );
         }
-        // Malformed multiplier tokens keep their own error badge.
-        let err = parse_args(strings(&[
-            "sweep",
-            "--lock",
-            "cna",
-            "--workload",
-            "sim",
-            "--threads",
-            "1-8x",
-        ]))
-        .unwrap_err();
+        // `x` tokens are CPU-count multiples of the thread axis.
+        let args = sweep_args("sweep --lock fissile,mcscr --workload sim --threads 2,1x-4x/1,8x");
+        assert_eq!(args.axes[Axis::Threads], vec![2]);
+        assert_eq!(args.axes.multiples, vec![1, 2, 3, 4, 8]);
+        let err = parse("sweep --lock cna --workload sim --threads 1-8x").unwrap_err();
         assert!(err.contains("multiplier"), "got: {err}");
     }
 
     #[test]
     fn parses_an_open_loop_sweep_command() {
-        let cmd = parse_args(strings(&[
-            "sweep",
-            "--lock",
-            "cna,mcs",
-            "--workload",
-            "kvmap",
-            "--mode",
-            "open",
-            "--rate",
-            "1000,10000,100000",
-            "--metric",
-            "p99",
-            "--scale",
-            "smoke",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Sweep(args) => {
-                assert_eq!(
-                    args.load,
-                    LoadSpec::Open {
-                        rates_per_sec: vec![1_000, 10_000, 100_000],
-                        arrival: Arrival::Poisson,
-                    }
-                );
-                assert_eq!(args.metric, Metric::P99Sojourn);
-            }
-            other => panic!("expected Sweep, got {other:?}"),
-        }
+        let args = sweep_args(
+            "sweep --lock cna,mcs --workload kvmap --mode open --rate 1000,10000,100000 \
+             --metric p99 --scale smoke",
+        );
+        assert_eq!(args.axes[Axis::Rate], vec![1_000, 10_000, 100_000]);
+        assert_eq!(args.arrival, Arrival::Poisson);
+        assert_eq!(args.metric, Metric::P99Sojourn);
         // `--rate` alone implies open mode; `--arrival` selects the shape.
-        let cmd = parse_args(strings(&[
-            "run",
-            "--lock",
-            "cna",
-            "--workload",
-            "kvmap",
-            "--rate",
-            "500",
-            "--arrival",
-            "fixed",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Run(args) => assert_eq!(
-                args.load,
-                LoadSpec::Open {
-                    rates_per_sec: vec![500],
-                    arrival: Arrival::Fixed,
-                }
-            ),
-            other => panic!("expected Run, got {other:?}"),
-        }
+        let args = sweep_args("run --lock cna --workload kvmap --rate 500 --arrival fixed");
+        assert_eq!(args.axes[Axis::Rate], vec![500]);
+        assert_eq!(args.arrival, Arrival::Fixed);
     }
 
     #[test]
     fn contradictory_mode_flags_are_usage_errors() {
-        let base = ["sweep", "--lock", "cna", "--workload", "kvmap"];
-        let with = |extra: &[&str]| {
-            let mut v = base.to_vec();
-            v.extend_from_slice(extra);
-            parse_args(strings(&v))
-        };
-        assert!(with(&["--mode", "open"])
-            .unwrap_err()
-            .contains("requires --rate"));
-        assert!(with(&["--mode", "closed", "--rate", "1000"])
+        let with = |extra: &str| parse(&format!("sweep --lock cna --workload kvmap {extra}"));
+        assert!(with("--mode open").unwrap_err().contains("requires --rate"));
+        assert!(with("--mode closed --rate 1000")
             .unwrap_err()
             .contains("conflicts"));
-        assert!(with(&["--arrival", "poisson"])
-            .unwrap_err()
-            .contains("open-loop"));
-        assert!(with(&["--mode", "sideways"])
+        assert!(with("--arrival poisson").unwrap_err().contains("open-loop"));
+        assert!(with("--mode sideways")
             .unwrap_err()
             .contains("closed, open"));
-        assert!(with(&["--rate", "0"]).is_err());
-        assert!(with(&["--rate", "fast"]).is_err());
+        assert!(with("--rate 0").is_err());
+        assert!(with("--rate fast").is_err());
     }
 
     #[test]
     fn unknown_tokens_list_the_valid_names() {
-        let err = parse_args(strings(&[
-            "sweep",
-            "--lock",
-            "cna",
-            "--workload",
-            "kvmap",
-            "--metric",
-            "bogus",
-        ]))
-        .unwrap_err();
+        let err = parse("sweep --lock cna --workload kvmap --metric bogus").unwrap_err();
         assert!(
             err.contains("throughput") && err.contains("p99") && err.contains("queue-depth"),
             "metric error should list valid tokens, got: {err}"
         );
-        let err =
-            parse_args(strings(&["sweep", "--lock", "cna", "--workload", "bogus"])).unwrap_err();
+        let err = parse("sweep --lock cna --workload bogus").unwrap_err();
         assert!(
             err.contains("kvmap") && err.contains("sim"),
             "workload error should list valid tokens, got: {err}"
         );
-        let err = parse_args(strings(&[
-            "sweep",
-            "--lock",
-            "cna",
-            "--workload",
-            "kvmap",
-            "--rate",
-            "100",
-            "--arrival",
-            "bogus",
-        ]))
-        .unwrap_err();
+        let err =
+            parse("sweep --lock cna --workload kvmap --rate 100 --arrival bogus").unwrap_err();
         assert!(
             err.contains("fixed") && err.contains("poisson"),
             "arrival error should list valid tokens, got: {err}"
@@ -784,98 +657,68 @@ mod tests {
     }
 
     #[test]
-    fn run_gains_thread_sweeps_and_the_sim_workload() {
-        let cmd = parse_args(strings(&[
-            "run",
-            "--lock",
-            "cna",
-            "--workload",
-            "sim",
-            "--threads",
-            "1,2,4",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Run(args) => {
-                assert_eq!(args.id, "lockbench_run");
-                assert_eq!(args.workloads, vec![WorkloadId::Sim]);
-                assert_eq!(args.threads, vec![1, 2, 4]);
-            }
-            other => panic!("expected Run, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn run_requires_lock_and_workload_and_valid_threads() {
-        assert!(parse_args(strings(&["run"])).is_err());
-        assert!(parse_args(strings(&["run", "--lock", "cna"])).is_err());
-        assert!(parse_args(strings(&["run", "--workload", "kvmap"])).is_err());
-        assert!(parse_args(strings(&["run", "--lock", "bogus", "--workload", "kvmap"])).is_err());
-        assert!(parse_args(strings(&["run", "--lock", "cna", "--workload", "bogus"])).is_err());
-        for bad_threads in ["0", "1,1", "x", "4-1"] {
+        for line in [
+            "run",
+            "run --lock cna",
+            "run --workload kvmap",
+            "run --lock bogus --workload kvmap",
+            "run --lock cna --workload bogus",
+        ] {
+            assert!(parse(line).is_err(), "{line}");
+        }
+        for bad_threads in ["0", "1,1", "x", "4-1", "1-4000000000"] {
+            let err = parse(&format!(
+                "run --lock cna --workload kvmap --threads {bad_threads}"
+            ));
+            let err = err.unwrap_err();
             assert!(
-                parse_args(strings(&[
-                    "run",
-                    "--lock",
-                    "cna",
-                    "--workload",
-                    "kvmap",
-                    "--threads",
-                    bad_threads,
-                ]))
-                .is_err(),
-                "--threads {bad_threads} should be rejected"
+                err.starts_with("invalid thread list"),
+                "{bad_threads}: {err}"
             );
         }
-        for bad_id in ["a/b", "a,b", "a b", ""] {
-            assert!(
-                parse_args(strings(&[
-                    "sweep",
-                    "--lock",
-                    "cna",
-                    "--workload",
-                    "kvmap",
-                    "--id",
-                    bad_id,
-                ]))
-                .is_err(),
-                "--id {bad_id:?} should be rejected"
-            );
+        for bad_id in ["a/b", "a,b"] {
+            let line = format!("sweep --lock cna --workload kvmap --id {bad_id}");
+            assert!(parse(&line).is_err(), "--id {bad_id:?} should be rejected");
         }
+        let with_id = |id: &str| {
+            let mut args: Vec<String> = "sweep --lock cna --workload kvmap --id"
+                .split_whitespace()
+                .map(String::from)
+                .collect();
+            args.push(id.to_string());
+            parse_args(args)
+        };
+        assert!(with_id("a b").is_err() && with_id("").is_err());
     }
 
     #[test]
     fn lock_and_workload_all_expand_to_everything() {
-        let cmd = parse_args(strings(&["run", "--lock", "all", "--workload", "all"])).unwrap();
-        match cmd {
-            Command::Run(args) => {
-                assert_eq!(args.locks, LockId::ALL.to_vec());
-                assert_eq!(args.workloads, WorkloadId::ALL.to_vec());
-            }
-            other => panic!("expected Run, got {other:?}"),
-        }
+        let args = sweep_args("run --lock all --workload all");
+        assert_eq!(args.locks, LockId::ALL.to_vec());
+        assert_eq!(args.workloads, WorkloadId::ALL.to_vec());
     }
 
     #[test]
     fn diff_parses_paths_and_tolerance() {
-        let cmd = parse_args(strings(&["diff", "a.csv", "b.csv"])).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Diff(DiffArgs {
-                baseline: "a.csv".to_string(),
-                current: "b.csv".to_string(),
-                tolerance: DiffThreshold::default().max_regression,
-            })
-        );
-        let cmd = parse_args(strings(&["diff", "--tolerance", "0.5", "a.csv", "b.csv"])).unwrap();
-        match cmd {
-            Command::Diff(args) => assert_eq!(args.tolerance, 0.5),
-            other => panic!("expected Diff, got {other:?}"),
+        let diff = |baseline: &str, current: &str, tolerance| {
+            Ok(Command::Diff(DiffArgs {
+                baseline: baseline.to_string(),
+                current: current.to_string(),
+                tolerance,
+            }))
+        };
+        let default = DiffThreshold::default().max_regression;
+        assert_eq!(parse("diff a.csv b.csv"), diff("a.csv", "b.csv", default));
+        assert_eq!(parse("diff --tolerance 0.5 a b"), diff("a", "b", 0.5));
+        for line in [
+            "diff a.csv",
+            "diff a b c",
+            "diff --tolerance -1 a b",
+            "diff --bogus a b",
+        ] {
+            assert!(parse(line).is_err(), "{line}");
         }
-        assert!(parse_args(strings(&["diff", "a.csv"])).is_err());
-        assert!(parse_args(strings(&["diff", "a", "b", "c"])).is_err());
-        assert!(parse_args(strings(&["diff", "--tolerance", "-1", "a", "b"])).is_err());
-        assert!(parse_args(strings(&["diff", "--bogus", "a", "b"])).is_err());
     }
 
     #[test]
@@ -895,16 +738,21 @@ mod tests {
         assert!(usage().contains("queue-depth"));
     }
 
+    fn axes(points: &[(Axis, &[u64])]) -> AxisLists {
+        let mut axes = AxisLists::default();
+        for &(axis, p) in points {
+            axes.set(axis, Some(p.to_vec()));
+        }
+        axes
+    }
+
     fn closed_args(id: &str) -> SweepArgs {
         SweepArgs {
             id: id.to_string(),
             locks: vec![LockId::Mcs, LockId::Cna],
             workloads: vec![WorkloadId::Sim, WorkloadId::KvMap],
-            threads: vec![1, 2],
-            thread_multipliers: Vec::new(),
-            shards: Vec::new(),
-            batches: Vec::new(),
-            load: LoadSpec::Closed,
+            axes: axes(&[(Axis::Threads, &[1, 2])]),
+            arrival: Arrival::Poisson,
             scale: Scale::Smoke,
             metric: Metric::ThroughputOpsPerUs,
             repetitions: 1,
@@ -924,18 +772,14 @@ mod tests {
             .iter()
             .all(|s| s.rows.len() == 2 && s.locks.len() == 2));
         assert!(report.samples.iter().all(|s| s.value > 0.0));
-        assert!(report.samples.iter().all(|s| s.mode == "closed"));
+        assert!(report.samples.iter().all(|s| s.mode() == "closed"));
     }
 
     #[test]
     fn open_smoke_sweep_carries_the_histogram_columns() {
         let args = SweepArgs {
             workloads: vec![WorkloadId::KvMap],
-            threads: vec![2],
-            load: LoadSpec::Open {
-                rates_per_sec: vec![50_000, 200_000],
-                arrival: Arrival::Poisson,
-            },
+            axes: axes(&[(Axis::Threads, &[2]), (Axis::Rate, &[50_000, 200_000])]),
             metric: Metric::P99Sojourn,
             duration_ms: Some(2),
             ..closed_args("unit_cli_open")
@@ -943,123 +787,41 @@ mod tests {
         let report = execute_sweep(&args).unwrap();
         // 1 workload × 2 rates × 1 thread count × 2 locks × 1 rep.
         assert_eq!(report.samples.len(), 4);
-        assert!(report.samples.iter().all(|s| s.mode == "open"));
+        assert!(report.samples.iter().all(|s| s.mode() == "open"));
         assert!(report.samples.iter().all(|s| s.p99_us > 0.0));
-        assert!(report
-            .samples
-            .iter()
-            .all(|s| s.rate_per_sec == 50_000 || s.rate_per_sec == 200_000));
         let sweep = report.sweep_for("kvmap").unwrap();
-        assert!(sweep.has_rates());
+        assert_eq!(sweep.axes(), vec![Axis::Threads, Axis::Rate]);
         assert_eq!(sweep.rows.len(), 2);
     }
 
     #[test]
-    fn parses_shard_and_batch_sweeps() {
-        let cmd = parse_args(strings(&[
-            "sweep",
-            "--lock",
-            "cna",
-            "--workload",
-            "kvmap",
-            "--shards",
-            "1,2,4,8",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Sweep(args) => {
-                assert_eq!(args.shards, vec![1, 2, 4, 8]);
-                assert!(args.batches.is_empty());
-            }
-            other => panic!("expected Sweep, got {other:?}"),
+    fn scale_out_sweeps_run_one_cell_per_point_on_their_workload_only() {
+        for (workload, axis) in [
+            (WorkloadId::KvMap, Axis::Shards),
+            (WorkloadId::Leveldb, Axis::Batch),
+        ] {
+            let args = SweepArgs {
+                locks: vec![LockId::Cna],
+                workloads: vec![workload],
+                axes: axes(&[(Axis::Threads, &[2]), (axis, &[1, 4])]),
+                duration_ms: Some(4),
+                ..closed_args("unit_cli_scale_out")
+            };
+            let report = execute_sweep(&args).unwrap();
+            // 2 points × 1 thread count × 1 lock × 1 rep.
+            let points: Vec<u64> = report.samples.iter().map(|s| s.point[axis]).collect();
+            assert_eq!(points, vec![1, 4], "{axis}");
+            assert!(report.samples.iter().all(|s| s.total_ops > 0));
+            assert!(report
+                .to_csv()
+                .starts_with("id,scale,workload,lock,label,threads,shards,batch,mode,rate,"));
+            let wrong = SweepArgs {
+                workloads: vec![WorkloadId::Sim],
+                ..args
+            };
+            let err = execute_sweep(&wrong).unwrap_err();
+            assert!(err.contains(&format!("no {axis} axis")), "got: {err}");
         }
-        let cmd = parse_args(strings(&[
-            "sweep",
-            "--lock",
-            "cna",
-            "--workload",
-            "leveldb",
-            "--batch",
-            "1,8,32",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Sweep(args) => assert_eq!(args.batches, vec![1, 8, 32]),
-            other => panic!("expected Sweep, got {other:?}"),
-        }
-        // Malformed axis lists surface their own error badge.
-        let err = parse_args(strings(&[
-            "sweep",
-            "--lock",
-            "cna",
-            "--workload",
-            "kvmap",
-            "--shards",
-            "0",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("shard"), "got: {err}");
-        let err = parse_args(strings(&[
-            "sweep",
-            "--lock",
-            "cna",
-            "--workload",
-            "leveldb",
-            "--batch",
-            "junk",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("batch"), "got: {err}");
-    }
-
-    #[test]
-    fn sharded_sweep_produces_one_cell_per_shard_count() {
-        let args = SweepArgs {
-            locks: vec![LockId::Cna],
-            workloads: vec![WorkloadId::KvMap],
-            threads: vec![2],
-            shards: vec![1, 4],
-            duration_ms: Some(4),
-            ..closed_args("unit_cli_shards")
-        };
-        let report = execute_sweep(&args).unwrap();
-        // 1 workload × 2 shard counts × 1 thread count × 1 lock × 1 rep.
-        assert_eq!(report.samples.len(), 2);
-        let mut shard_axis: Vec<usize> = report.samples.iter().map(|s| s.shards).collect();
-        shard_axis.sort_unstable();
-        assert_eq!(shard_axis, vec![1, 4]);
-        assert!(report.samples.iter().all(|s| s.value > 0.0));
-        assert!(report.to_csv().contains("shards"));
-    }
-
-    #[test]
-    fn batched_sweep_produces_one_cell_per_batch_limit() {
-        let args = SweepArgs {
-            locks: vec![LockId::Mcs],
-            workloads: vec![WorkloadId::Leveldb],
-            threads: vec![2],
-            batches: vec![1, 8],
-            duration_ms: Some(4),
-            ..closed_args("unit_cli_batch")
-        };
-        let report = execute_sweep(&args).unwrap();
-        let mut batch_axis: Vec<usize> = report.samples.iter().map(|s| s.batch).collect();
-        batch_axis.sort_unstable();
-        assert_eq!(batch_axis, vec![1, 8]);
-        assert!(report.samples.iter().all(|s| s.total_ops > 0));
-    }
-
-    #[test]
-    fn axis_on_the_wrong_workload_is_a_cli_error() {
-        let args = SweepArgs {
-            locks: vec![LockId::Cna],
-            workloads: vec![WorkloadId::Sim],
-            threads: vec![1],
-            shards: vec![4],
-            ..closed_args("unit_cli_bad_axis")
-        };
-        let err = execute_sweep(&args).unwrap_err();
-        assert!(err.contains("shards"), "got: {err}");
     }
 
     #[test]
@@ -1067,7 +829,7 @@ mod tests {
         let args = SweepArgs {
             locks: vec![LockId::QSpinStock],
             workloads: vec![WorkloadId::Wis],
-            threads: vec![2],
+            axes: axes(&[(Axis::Threads, &[2])]),
             ..closed_args("unit_cli_wis")
         };
         let report = execute_sweep(&args).unwrap();
@@ -1083,7 +845,7 @@ mod tests {
         let args = SweepArgs {
             locks: vec![LockId::Cna],
             workloads: vec![WorkloadId::KvMap],
-            threads: vec![1],
+            axes: axes(&[(Axis::Threads, &[1])]),
             metric: Metric::LlcMissesPerUs,
             duration_ms: Some(2),
             ..closed_args("unit_cli_bad_metric")
@@ -1113,7 +875,7 @@ mod tests {
         let args = SweepArgs {
             locks: vec![LockId::Cna],
             workloads: vec![WorkloadId::Sim],
-            threads: vec![1],
+            axes: axes(&[(Axis::Threads, &[1])]),
             duration_ms: None,
             ..closed_args("unit_cli_write_err")
         };

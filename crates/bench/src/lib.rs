@@ -1,183 +1,11 @@
-//! Shared helpers for the figure-regeneration benchmarks.
-//!
-//! Each `[[bench]]` target in this crate regenerates one table or figure of
-//! the paper's evaluation: it builds one or more
-//! [`ExperimentSpec`](harness::experiments::ExperimentSpec)s — the same
-//! unified experiment API the `lockbench` CLI drives — runs them at the
-//! current `SCALE`, prints the series the paper plots and writes CSV + JSON
-//! reports under `target/experiments/`. The helpers here keep each bench
-//! file down to the experiment description itself.
+//! The paper's evaluation, reproduced: the table of its figures
+//! ([`figures`], run by `cargo bench -p bench --bench figures`) and the
+//! `lockbench` command line ([`cli`]) that runs any other grid — both thin
+//! layers over the unified experiment API,
+//! [`ExperimentSpec`](harness::experiments::ExperimentSpec). Each writes
+//! CSV + JSON reports under `target/experiments/`.
 
 #![warn(missing_docs)]
 
 pub mod cli;
-
-use harness::experiments::{ExperimentSpec, Metric, SimSweep, SweepResult, WorkloadSpec};
-use numa_sim::Workload;
-use registry::LockId;
-
-/// The registry ids shown in the paper's user-space figures.
-pub fn user_space_lock_ids() -> Vec<LockId> {
-    vec![LockId::Mcs, LockId::Cna, LockId::CBoMcs, LockId::Hmcs]
-}
-
-/// The user-space set plus the CNA (opt) shuffle-reduction variant
-/// (Figure 9 and Figure 11).
-pub fn user_space_lock_ids_with_opt() -> Vec<LockId> {
-    let mut ids = user_space_lock_ids();
-    ids.insert(2, LockId::CnaOpt);
-    ids
-}
-
-/// The kernel comparison: stock qspinlock (MCS slow path) vs CNA slow path.
-pub fn kernel_lock_ids() -> Vec<LockId> {
-    vec![LockId::QSpinStock, LockId::QSpinCna]
-}
-
-/// Builds an [`ExperimentSpec`] for a simulator experiment on the paper's
-/// 2-socket machine: the full paper thread sweep (capped by the ambient
-/// `SCALE`), scale-default repetitions. The scale itself comes from the
-/// `ExperimentSpec::new` default (`SCALE` env var). The sweep is labelled
-/// with the figure id so summaries and samples attribute their panel.
-pub fn two_socket_spec(
-    id: &str,
-    title: &str,
-    workload: Workload,
-    locks: Vec<LockId>,
-    metric: Metric,
-) -> ExperimentSpec {
-    ExperimentSpec::new(id)
-        .title(title)
-        .locks(locks)
-        .workload(WorkloadSpec::Sim(SimSweep::two_socket(id, workload)))
-        .metric(metric)
-}
-
-/// Builds an [`ExperimentSpec`] for a simulator experiment on the paper's
-/// 4-socket machine.
-pub fn four_socket_spec(
-    id: &str,
-    title: &str,
-    workload: Workload,
-    locks: Vec<LockId>,
-    metric: Metric,
-) -> ExperimentSpec {
-    ExperimentSpec::new(id)
-        .title(title)
-        .locks(locks)
-        .workload(WorkloadSpec::Sim(SimSweep::four_socket(id, workload)))
-        .metric(metric)
-}
-
-/// Runs the specs of one figure, prints each sweep table, writes the
-/// CSV/JSON reports and returns one aggregated [`SweepResult`] per spec
-/// (benches use them for shape assertions).
-pub fn run_figure(specs: &[ExperimentSpec]) -> Vec<SweepResult> {
-    let mut sweeps = Vec::new();
-    for spec in specs {
-        let report = spec
-            .run()
-            .unwrap_or_else(|err| panic!("experiment {} failed: {err}", spec.id));
-        // Figure specs hold exactly one workload, so this is one sweep.
-        let spec_sweeps = report.sweeps();
-        for sweep in &spec_sweeps {
-            println!("{}", sweep.render(&spec.title));
-        }
-        match report.write_files() {
-            Ok((csv, json)) => {
-                println!(
-                    "(reports written to {} and {})\n",
-                    csv.display(),
-                    json.display()
-                );
-            }
-            Err(err) => eprintln!("warning: {err}"),
-        }
-        sweeps.extend(spec_sweeps);
-    }
-    sweeps
-}
-
-/// Prints a short "who wins" summary comparing CNA to MCS at the largest
-/// thread count of a sweep, mirroring the speedup numbers quoted in the
-/// paper's text.
-pub fn print_cna_vs_mcs_summary(sweep: &SweepResult) {
-    if let (Some(cna), Some(mcs)) = (sweep.final_value("CNA"), sweep.final_value("MCS")) {
-        if mcs > 0.0 {
-            println!(
-                "[{}] CNA vs MCS at the largest thread count: {:+.1}%\n",
-                sweep.workload,
-                (cna / mcs - 1.0) * 100.0
-            );
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use harness::Scale;
-    use numa_sim::lock_model::LockAlgorithm;
-
-    #[test]
-    fn lock_sets_contain_the_expected_algorithms() {
-        assert_eq!(user_space_lock_ids().len(), 4);
-        assert_eq!(user_space_lock_ids_with_opt().len(), 5);
-        assert!(user_space_lock_ids_with_opt().contains(&LockId::CnaOpt));
-        assert_eq!(
-            kernel_lock_ids(),
-            vec![LockId::QSpinStock, LockId::QSpinCna]
-        );
-        // The kernel ids map onto the stock-vs-CNA simulator comparison.
-        let models: Vec<LockAlgorithm> = kernel_lock_ids()
-            .iter()
-            .map(|id| id.sim_algorithm())
-            .collect();
-        assert_eq!(models, vec![LockAlgorithm::Mcs, LockAlgorithm::Cna]);
-    }
-
-    #[test]
-    fn spec_builders_use_the_right_machines() {
-        let two = two_socket_spec(
-            "t",
-            "t",
-            Workload::kv_map_no_external_work(),
-            user_space_lock_ids(),
-            Metric::ThroughputOpsPerUs,
-        );
-        let four = four_socket_spec(
-            "f",
-            "f",
-            Workload::kv_map_no_external_work(),
-            user_space_lock_ids(),
-            Metric::ThroughputOpsPerUs,
-        );
-        let machine = |spec: &ExperimentSpec| match &spec.workloads[0] {
-            WorkloadSpec::Sim(sweep) => (sweep.machine.sockets, sweep.cost.remote_line_ns),
-            other => panic!("figure specs are simulator specs, got {other:?}"),
-        };
-        assert_eq!(machine(&two).0, 2);
-        assert_eq!(machine(&four).0, 4);
-        assert!(machine(&four).1 > machine(&two).1);
-    }
-
-    #[test]
-    fn a_smoke_figure_runs_end_to_end() {
-        let spec = two_socket_spec(
-            "unit_test_fig",
-            "unit test",
-            Workload::kv_map_no_external_work(),
-            vec![LockId::Mcs, LockId::Cna],
-            Metric::ThroughputOpsPerUs,
-        )
-        .threads(vec![1, 8])
-        .scale(Scale::Smoke);
-        let report = spec.run().unwrap();
-        let sweep = report.sweep_for("unit_test_fig").unwrap();
-        assert_eq!(sweep.rows.len(), 2);
-        assert_eq!(sweep.labels, vec!["MCS", "CNA"]);
-        assert!(sweep.value_at("MCS", 1).unwrap() > 0.0);
-        assert!(sweep.final_value("CNA").unwrap() > 0.0);
-        assert!(sweep.value_at("CNA", 3).is_none());
-    }
-}
+pub mod figures;

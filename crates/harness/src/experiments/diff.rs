@@ -5,8 +5,9 @@
 
 use std::collections::BTreeMap;
 
+use super::axis::shown_axes;
 use super::report::RunReport;
-use super::Metric;
+use super::{GridPoint, Metric};
 use crate::table::render_table;
 
 /// Tolerance of a regression comparison.
@@ -27,23 +28,16 @@ impl Default for DiffThreshold {
     }
 }
 
-/// One compared cell: a (workload, lock, threads, shards, batch, rate,
-/// metric) key present in both reports, with repetitions averaged on each
-/// side.
+/// One compared cell: a (workload, lock, grid point, metric) key present in
+/// both reports, with repetitions averaged on each side.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiffEntry {
     /// Workload label.
     pub workload: String,
     /// Canonical lock name.
     pub lock: String,
-    /// Thread count.
-    pub threads: usize,
-    /// Shard count of the cell; 1 for unsharded cells.
-    pub shards: usize,
-    /// Group-commit batch limit of the cell; 0 for native paths.
-    pub batch: usize,
-    /// Offered load of the cell; 0 for closed-loop cells.
-    pub rate_per_sec: u64,
+    /// The cell's coordinate on every axis.
+    pub point: GridPoint,
     /// Metric token (decides the regression direction).
     pub metric: String,
     /// Mean value in the baseline report.
@@ -52,7 +46,8 @@ pub struct DiffEntry {
     pub current: f64,
     /// Signed relative change, `(current - baseline) / baseline`.
     pub change: f64,
-    /// Whether the change exceeds the threshold in the bad direction.
+    /// Whether the change exceeds the threshold in the bad direction (or
+    /// either mean is not a finite number).
     pub regressed: bool,
 }
 
@@ -82,24 +77,13 @@ impl DiffReport {
         !self.missing_in_current.is_empty() || self.regressions().next().is_some()
     }
 
-    /// Renders the comparison as an aligned text table plus a verdict line.
-    /// Closed-loop-only diffs keep the historical column set; a `rate/s`
-    /// column appears as soon as any compared cell is open-loop, and the
-    /// `shards` / `batch` columns as soon as any cell uses those axes.
+    /// Renders the comparison as an aligned text table plus a verdict line:
+    /// a `threads` column, and a column for every other axis some compared
+    /// cell leaves off its default point.
     pub fn render(&self) -> String {
-        let rated = self.entries.iter().any(|e| e.rate_per_sec > 0);
-        let sharded = self.entries.iter().any(|e| e.shards != 1);
-        let batched = self.entries.iter().any(|e| e.batch > 0);
-        let mut header: Vec<String> = vec!["workload".into(), "lock".into(), "threads".into()];
-        if sharded {
-            header.push("shards".into());
-        }
-        if batched {
-            header.push("batch".into());
-        }
-        if rated {
-            header.push("rate/s".into());
-        }
+        let axes = shown_axes(self.entries.iter().map(|e| e.point));
+        let mut header: Vec<String> = vec!["workload".into(), "lock".into()];
+        header.extend(axes.iter().map(|a| a.header().to_string()));
         header.extend(
             ["metric", "baseline", "current", "change", "verdict"]
                 .iter()
@@ -109,16 +93,8 @@ impl DiffReport {
             .entries
             .iter()
             .map(|e| {
-                let mut row = vec![e.workload.clone(), e.lock.clone(), e.threads.to_string()];
-                if sharded {
-                    row.push(e.shards.to_string());
-                }
-                if batched {
-                    row.push(e.batch.to_string());
-                }
-                if rated {
-                    row.push(e.rate_per_sec.to_string());
-                }
+                let mut row = vec![e.workload.clone(), e.lock.clone()];
+                row.extend(axes.iter().map(|&a| e.point[a].to_string()));
                 row.extend([
                     e.metric.clone(),
                     format!("{:.3}", e.baseline),
@@ -155,7 +131,7 @@ impl DiffReport {
     }
 }
 
-type Key = (String, String, usize, usize, usize, u64, String);
+type Key = (String, String, GridPoint, String);
 
 fn cell_means(report: &RunReport) -> BTreeMap<Key, f64> {
     let mut acc: BTreeMap<Key, (f64, u32)> = BTreeMap::new();
@@ -163,10 +139,7 @@ fn cell_means(report: &RunReport) -> BTreeMap<Key, f64> {
         let key = (
             s.workload.clone(),
             s.lock.clone(),
-            s.threads,
-            s.shards,
-            s.batch,
-            s.rate_per_sec,
+            s.point,
             s.metric.clone(),
         );
         let cell = acc.entry(key).or_insert((0.0, 0));
@@ -178,32 +151,21 @@ fn cell_means(report: &RunReport) -> BTreeMap<Key, f64> {
         .collect()
 }
 
-fn key_label((workload, lock, threads, shards, batch, rate, metric): &Key) -> String {
-    let mut label = format!("{workload}/{lock}@{threads}t");
-    if *shards != 1 {
-        label.push_str(&format!("@{shards}sh"));
-    }
-    if *batch > 0 {
-        label.push_str(&format!("@{batch}b"));
-    }
-    if *rate > 0 {
-        label.push_str(&format!("@{rate}/s"));
-    }
-    label.push_str(&format!(" [{metric}]"));
-    label
+fn key_label((workload, lock, point, metric): &Key) -> String {
+    format!("{workload}/{lock}{} [{metric}]", point.label())
 }
 
 impl RunReport {
     /// Compares this (current) report against a stored `baseline`.
     ///
-    /// Cells are keyed by (workload, lock, threads, shards, batch, rate,
-    /// metric) with repetitions averaged. A cell regresses when it moves
-    /// more than
+    /// Cells are keyed by (workload, lock, grid point, metric) with
+    /// repetitions averaged. A cell regresses when it moves more than
     /// [`DiffThreshold::max_regression`] in the metric's bad direction —
     /// down for throughput, up for LLC misses, unfairness, sojourn
-    /// percentiles and queue depth. Unknown metric tokens are treated as
-    /// higher-is-better. Cells with a zero baseline are compared only for
-    /// coverage (no finite relative change).
+    /// percentiles and queue depth — or when either mean is not a finite
+    /// number (no comparison can pass a `NaN`). Unknown metric tokens are
+    /// treated as higher-is-better. Cells with a zero baseline are compared
+    /// only for coverage (no finite relative change).
     pub fn diff_against(&self, baseline: &RunReport, threshold: DiffThreshold) -> DiffReport {
         let base = cell_means(baseline);
         let cur = cell_means(self);
@@ -214,11 +176,13 @@ impl RunReport {
                 missing_in_current.push(key_label(key));
                 continue;
             };
-            let higher_is_better = Metric::parse(&key.6)
+            let higher_is_better = Metric::parse(&key.3)
                 .ok()
                 .map(Metric::higher_is_better)
                 .unwrap_or(true);
-            let (change, regressed) = if base_value == 0.0 {
+            let (change, regressed) = if !(base_value.is_finite() && cur_value.is_finite()) {
+                (f64::NAN, true)
+            } else if base_value == 0.0 {
                 (0.0, false)
             } else {
                 let change = (cur_value - base_value) / base_value;
@@ -232,11 +196,8 @@ impl RunReport {
             entries.push(DiffEntry {
                 workload: key.0.clone(),
                 lock: key.1.clone(),
-                threads: key.2,
-                shards: key.3,
-                batch: key.4,
-                rate_per_sec: key.5,
-                metric: key.6.clone(),
+                point: key.2,
+                metric: key.3.clone(),
                 baseline: base_value,
                 current: cur_value,
                 change,
@@ -261,17 +222,14 @@ impl RunReport {
 mod tests {
     use super::*;
     use crate::experiments::report::Sample;
+    use crate::experiments::Axis;
 
     fn sample(lock: &str, threads: usize, rep: usize, metric: &str, value: f64) -> Sample {
         Sample {
             workload: "kvmap".to_string(),
             lock: lock.to_string(),
             label: lock.to_uppercase(),
-            threads,
-            shards: 1,
-            batch: 0,
-            mode: "closed".to_string(),
-            rate_per_sec: 0,
+            point: GridPoint::closed(threads),
             rep,
             metric: metric.to_string(),
             unit: "u".to_string(),
@@ -285,12 +243,11 @@ mod tests {
         }
     }
 
-    fn open_sample(lock: &str, rate: u64, metric: &str, value: f64) -> Sample {
+    fn at(axis: Axis, p: u64, metric: &str, value: f64) -> Sample {
+        let s = sample("cna", 8, 0, metric, value);
         Sample {
-            mode: "open".to_string(),
-            rate_per_sec: rate,
-            unit: "us".to_string(),
-            ..sample(lock, 2, 0, metric, value)
+            point: s.point.with(axis, p),
+            ..s
         }
     }
 
@@ -363,25 +320,25 @@ mod tests {
     #[test]
     fn p99_regresses_upward_and_is_keyed_by_rate() {
         let base = report(vec![
-            open_sample("cna", 1_000, "p99", 10.0),
-            open_sample("cna", 10_000, "p99", 50.0),
+            at(Axis::Rate, 1_000, "p99", 10.0),
+            at(Axis::Rate, 10_000, "p99", 50.0),
         ]);
         // Same rate grid, p99 doubled at the high rate only.
         let cur = report(vec![
-            open_sample("cna", 1_000, "p99", 10.5),
-            open_sample("cna", 10_000, "p99", 100.0),
+            at(Axis::Rate, 1_000, "p99", 10.5),
+            at(Axis::Rate, 10_000, "p99", 100.0),
         ]);
         let diff = cur.diff_against(&base, DiffThreshold::default());
         assert!(diff.has_regressions());
         let regressed: Vec<_> = diff.regressions().collect();
         assert_eq!(regressed.len(), 1);
-        assert_eq!(regressed[0].rate_per_sec, 10_000);
+        assert_eq!(regressed[0].point[Axis::Rate], 10_000);
         let rendered = diff.render();
         assert!(rendered.contains("rate/s"), "{rendered}");
         // A p99 *improvement* never trips.
         let better = report(vec![
-            open_sample("cna", 1_000, "p99", 5.0),
-            open_sample("cna", 10_000, "p99", 25.0),
+            at(Axis::Rate, 1_000, "p99", 5.0),
+            at(Axis::Rate, 10_000, "p99", 25.0),
         ]);
         assert!(!better
             .diff_against(&base, DiffThreshold::default())
@@ -390,8 +347,8 @@ mod tests {
 
     #[test]
     fn same_cell_at_different_rates_are_distinct_keys() {
-        let base = report(vec![open_sample("cna", 1_000, "p99", 10.0)]);
-        let cur = report(vec![open_sample("cna", 2_000, "p99", 10.0)]);
+        let base = report(vec![at(Axis::Rate, 1_000, "p99", 10.0)]);
+        let cur = report(vec![at(Axis::Rate, 2_000, "p99", 10.0)]);
         let diff = cur.diff_against(&base, DiffThreshold::default());
         // Different rate → coverage loss on one side, addition on the other.
         assert!(diff.has_regressions());
@@ -402,24 +359,18 @@ mod tests {
 
     #[test]
     fn shard_and_batch_coordinates_are_distinct_keys() {
-        let sharded = |shards: usize, value: f64| Sample {
-            shards,
-            ..sample("cna", 8, 0, "throughput", value)
-        };
+        let sharded = |shards, value| at(Axis::Shards, shards, "throughput", value);
         let base = report(vec![sharded(1, 10.0), sharded(4, 30.0)]);
         // shards=4 collapses to shards=1 performance: only that cell trips.
         let cur = report(vec![sharded(1, 10.0), sharded(4, 10.0)]);
         let diff = cur.diff_against(&base, DiffThreshold::default());
         let regressed: Vec<_> = diff.regressions().collect();
         assert_eq!(regressed.len(), 1);
-        assert_eq!(regressed[0].shards, 4);
+        assert_eq!(regressed[0].point[Axis::Shards], 4);
         assert!(diff.render().contains("shards"), "{}", diff.render());
 
         // A batch cell and a native cell never alias each other.
-        let batched = report(vec![Sample {
-            batch: 16,
-            ..sample("cna", 8, 0, "throughput", 20.0)
-        }]);
+        let batched = report(vec![at(Axis::Batch, 16, "throughput", 20.0)]);
         let native = report(vec![sample("cna", 8, 0, "throughput", 20.0)]);
         let diff = batched.diff_against(&native, DiffThreshold::default());
         assert!(diff.has_regressions(), "coverage moved between keys");
@@ -457,6 +408,24 @@ mod tests {
         assert_eq!(diff.missing_in_baseline.len(), 1);
         let additions_only = base.diff_against(&base, DiffThreshold::default());
         assert!(!additions_only.has_regressions());
+    }
+
+    #[test]
+    fn a_nan_mean_on_either_side_regresses() {
+        let finite = report(vec![sample("cna", 2, 0, "throughput", 10.0)]);
+        let nan = report(vec![sample("cna", 2, 0, "throughput", f64::NAN)]);
+        for (current, baseline) in [(&nan, &finite), (&finite, &nan)] {
+            let diff = current.diff_against(baseline, DiffThreshold::default());
+            assert!(diff.has_regressions());
+            let rendered = diff.render();
+            assert!(rendered.contains("REGRESSED"), "{rendered}");
+            assert!(rendered.contains("verdict: REGRESSION"), "{rendered}");
+        }
+        // NaN read back from a report file is still caught.
+        let csv = RunReport::from_csv(&nan.to_csv()).unwrap();
+        assert!(csv
+            .diff_against(&finite, DiffThreshold::default())
+            .has_regressions());
     }
 
     #[test]

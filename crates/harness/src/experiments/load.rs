@@ -10,13 +10,13 @@
 //! (Dice & Kogan 2019, "Avoiding Scalability Collapse by Restricting
 //! Concurrency").
 //!
-//! [`LoadMode`] selects the shape of one experiment cell; [`LoadSpec`] is
-//! the spec-level axis (closed, or a list of offered rates to sweep);
+//! [`LoadMode`] selects the shape of one experiment cell (the spec-level
+//! axis is [`Axis::Rate`](super::Axis::Rate): no rates = closed loop);
 //! [`Arrival`] picks the inter-arrival distribution.
 
 use std::fmt;
 
-use super::{parse_thread_list, ExperimentError};
+use super::ExperimentError;
 
 /// Inter-arrival distribution of an open-loop run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -88,15 +88,6 @@ impl LoadMode {
         }
     }
 
-    /// The offered rate, or 0 for closed-loop (what the report's `rate`
-    /// column records).
-    pub const fn rate_per_sec(&self) -> u64 {
-        match self {
-            LoadMode::Closed => 0,
-            LoadMode::Open { rate_per_sec, .. } => *rate_per_sec,
-        }
-    }
-
     /// Whether this is an open-loop cell.
     pub const fn is_open(&self) -> bool {
         matches!(self, LoadMode::Open { .. })
@@ -113,83 +104,6 @@ impl fmt::Display for LoadMode {
             } => write!(f, "open({rate_per_sec}/s, {arrival})"),
         }
     }
-}
-
-/// The load axis of an [`ExperimentSpec`](super::ExperimentSpec): one
-/// closed-loop point, or an offered-load sweep.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum LoadSpec {
-    /// Closed-loop (the historical behaviour; the default).
-    #[default]
-    Closed,
-    /// Open-loop at each listed rate (the `--rate` list).
-    Open {
-        /// Offered rates swept, in requests per second.
-        rates_per_sec: Vec<u64>,
-        /// Inter-arrival distribution shared by every rate.
-        arrival: Arrival,
-    },
-}
-
-impl LoadSpec {
-    /// The `--mode` token this spec was built from.
-    pub const fn name(&self) -> &'static str {
-        match self {
-            LoadSpec::Closed => "closed",
-            LoadSpec::Open { .. } => "open",
-        }
-    }
-
-    /// Whether this is the open-loop axis.
-    pub const fn is_open(&self) -> bool {
-        matches!(self, LoadSpec::Open { .. })
-    }
-
-    /// Expands the axis into the concrete [`LoadMode`] grid points.
-    pub fn points(&self) -> Vec<LoadMode> {
-        match self {
-            LoadSpec::Closed => vec![LoadMode::Closed],
-            LoadSpec::Open {
-                rates_per_sec,
-                arrival,
-            } => rates_per_sec
-                .iter()
-                .map(|&rate_per_sec| LoadMode::Open {
-                    rate_per_sec,
-                    arrival: *arrival,
-                })
-                .collect(),
-        }
-    }
-}
-
-/// Parses a `--rate` list: the same grammar as thread lists
-/// (comma-separated counts, inclusive ranges, optional `/step` strides),
-/// rejecting zero, duplicates and empty lists.
-///
-/// # Examples
-///
-/// ```
-/// use harness::experiments::parse_rate_list;
-/// assert_eq!(
-///     parse_rate_list("1000,10000,100000").unwrap(),
-///     vec![1_000, 10_000, 100_000]
-/// );
-/// assert_eq!(
-///     parse_rate_list("1000-3000/1000").unwrap(),
-///     vec![1_000, 2_000, 3_000]
-/// );
-/// assert!(parse_rate_list("0").is_err());
-/// ```
-pub fn parse_rate_list(list: &str) -> Result<Vec<u64>, ExperimentError> {
-    let rates = parse_thread_list(list).map_err(|err| match err {
-        // Re-badge the diagnostic: the grammar is shared, the flag is not.
-        ExperimentError::InvalidThreads(msg) => {
-            ExperimentError::InvalidRate(msg.replace("thread count", "rate"))
-        }
-        other => other,
-    })?;
-    Ok(rates.into_iter().map(|r| r as u64).collect())
 }
 
 #[cfg(test)]
@@ -210,63 +124,15 @@ mod tests {
     }
 
     #[test]
-    fn load_modes_report_name_and_rate() {
+    fn load_modes_report_their_name() {
         assert_eq!(LoadMode::Closed.name(), "closed");
-        assert_eq!(LoadMode::Closed.rate_per_sec(), 0);
         assert!(!LoadMode::Closed.is_open());
         let open = LoadMode::Open {
             rate_per_sec: 1_000,
             arrival: Arrival::Poisson,
         };
         assert_eq!(open.name(), "open");
-        assert_eq!(open.rate_per_sec(), 1_000);
         assert!(open.is_open());
         assert_eq!(open.to_string(), "open(1000/s, poisson)");
-    }
-
-    #[test]
-    fn load_specs_expand_to_grid_points() {
-        assert_eq!(LoadSpec::Closed.points(), vec![LoadMode::Closed]);
-        let spec = LoadSpec::Open {
-            rates_per_sec: vec![100, 200],
-            arrival: Arrival::Fixed,
-        };
-        assert!(spec.is_open());
-        assert_eq!(
-            spec.points(),
-            vec![
-                LoadMode::Open {
-                    rate_per_sec: 100,
-                    arrival: Arrival::Fixed
-                },
-                LoadMode::Open {
-                    rate_per_sec: 200,
-                    arrival: Arrival::Fixed
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn rate_lists_share_the_thread_list_grammar() {
-        assert_eq!(
-            parse_rate_list("1000,10000,100000").unwrap(),
-            vec![1_000, 10_000, 100_000]
-        );
-        assert_eq!(
-            parse_rate_list("1000-3000/1000").unwrap(),
-            vec![1_000, 2_000, 3_000]
-        );
-        for bad in ["", "0", "100,100", "5000-1000", "fast"] {
-            let err = parse_rate_list(bad).unwrap_err();
-            assert!(
-                matches!(err, ExperimentError::InvalidRate(_)),
-                "{bad:?} should be InvalidRate, got {err:?}"
-            );
-        }
-        assert!(parse_rate_list("0")
-            .unwrap_err()
-            .to_string()
-            .contains("rate"));
     }
 }

@@ -4,8 +4,9 @@
 //! runs. This module expresses that grid **once**, for both measurement
 //! back-ends:
 //!
-//! * [`ExperimentSpec`] — the builder: lock set × workloads × thread sweep ×
-//!   [`Scale`] × repetitions × [`Metric`].
+//! * [`ExperimentSpec`] — the builder: lock set × workloads × the sweep
+//!   axes ([`Axis`]: threads, shards, batch, rate) × [`Scale`] ×
+//!   repetitions × [`Metric`].
 //! * [`Runner`] — the execution trait, with two implementations: the
 //!   real-thread [`SubstrateRunner`] (kvmap / leveldb / kyoto / locktorture
 //!   / will-it-scale through the registry's dyn entry points) and the
@@ -19,7 +20,7 @@
 //! * [`RunReport::diff_against`] — threshold-based regression comparison
 //!   against a stored baseline (what `lockbench diff` exits non-zero on).
 //!
-//! The `lockbench` CLI, the figure benches and the examples are all thin
+//! The `lockbench` CLI, the figure table and the examples are all thin
 //! layers over this module: a new algorithm or workload is one spec row,
 //! not another hand-rolled loop.
 //!
@@ -42,6 +43,7 @@
 //! assert!(sweep.final_value("CNA").unwrap() > 0.0);
 //! ```
 
+pub mod axis;
 pub mod diff;
 pub mod histogram;
 pub mod load;
@@ -49,9 +51,10 @@ pub mod openloop;
 pub mod report;
 pub mod runner;
 
+pub use axis::{Axis, AxisLists, GridPoint, MAX_POINTS};
 pub use diff::{DiffEntry, DiffReport, DiffThreshold};
 pub use histogram::LatencyHistogram;
-pub use load::{parse_rate_list, Arrival, LoadMode, LoadSpec};
+pub use load::{Arrival, LoadMode};
 pub use openloop::OpenLoopSummary;
 pub use report::{RunReport, Sample, SweepResult, SweepRow};
 pub use runner::{Runner, SimRunner, SubstrateRunner};
@@ -174,25 +177,23 @@ pub enum ExperimentError {
     EmptyLocks,
     /// The spec selected no workloads.
     EmptyWorkloads,
-    /// A thread list was malformed (zero, duplicate, or unparseable), or the
-    /// scale cap left no thread counts to sweep.
-    InvalidThreads(String),
-    /// An offered-rate list was malformed (zero, duplicate, unparseable, or
-    /// empty).
-    InvalidRate(String),
-    /// A shard-count list was malformed (zero, duplicate, unparseable, or
-    /// empty).
-    InvalidShards(String),
-    /// A batch-limit list was malformed (zero, duplicate, unparseable, or
-    /// empty).
-    InvalidBatch(String),
+    /// An axis list was malformed (zero, duplicate, unparseable, empty or
+    /// longer than [`MAX_POINTS`]), or the scale cap left no thread counts
+    /// to sweep.
+    InvalidAxis {
+        /// The axis of the list.
+        axis: Axis,
+        /// What was wrong.
+        message: String,
+    },
     /// A sweep axis was applied to a workload that has no such axis
-    /// (`--shards` off the sharded kv-map, `--batch` off leveldb).
+    /// (`--shards` off the sharded kv-map, `--batch` off leveldb, `--rate`
+    /// on a workload that cannot serve open-loop arrivals).
     UnsupportedAxis {
         /// The workload that has no such axis.
         workload: String,
-        /// The rejected axis (`"shards"` / `"batch"`).
-        axis: &'static str,
+        /// The rejected axis.
+        axis: Axis,
     },
     /// The spec's id or a workload label contains a character the CSV
     /// report format cannot represent (comma or newline).
@@ -222,11 +223,6 @@ pub enum ExperimentError {
         /// The load mode that cannot measure it (`"closed"` / `"open"`).
         mode: &'static str,
     },
-    /// The workload's runner cannot serve open-loop arrivals.
-    UnsupportedLoadMode {
-        /// The workload that rejected the mode.
-        workload: String,
-    },
     /// Writing a report file failed.
     Write(WriteError),
     /// Reading a report file failed.
@@ -250,29 +246,17 @@ impl fmt::Display for ExperimentError {
         match self {
             ExperimentError::EmptyLocks => write!(f, "the experiment selects no lock algorithms"),
             ExperimentError::EmptyWorkloads => write!(f, "the experiment selects no workloads"),
-            ExperimentError::InvalidThreads(msg) => write!(f, "invalid thread list: {msg}"),
-            ExperimentError::InvalidRate(msg) => write!(f, "invalid rate list: {msg}"),
-            ExperimentError::InvalidShards(msg) => write!(f, "invalid shard list: {msg}"),
-            ExperimentError::InvalidBatch(msg) => write!(f, "invalid batch list: {msg}"),
+            ExperimentError::InvalidAxis { axis, message } => {
+                f.write_str(&axis.invalid_message(message))
+            }
             ExperimentError::UnsupportedAxis { workload, axis } => {
-                write!(
-                    f,
-                    "workload {workload:?} has no {axis} axis \
-                     (--shards applies to kvmap, --batch to leveldb)"
-                )
+                f.write_str(&axis.unsupported_message(workload))
             }
             ExperimentError::Unknown { kind, name, valid } => {
                 write!(f, "unknown {kind} {name:?} (valid: {})", valid.join(", "))
             }
             ExperimentError::ModeMetricMismatch { metric, mode } => {
                 write!(f, "metric {metric:?} cannot be measured {mode}-loop")
-            }
-            ExperimentError::UnsupportedLoadMode { workload } => {
-                write!(
-                    f,
-                    "workload {workload:?} cannot serve open-loop arrivals \
-                     (open mode is supported by kvmap and sim)"
-                )
             }
             ExperimentError::InvalidId(name) => {
                 write!(
@@ -327,252 +311,6 @@ impl ExperimentError {
             kind,
             name: name.to_string(),
             valid: valid.into_iter().collect(),
-        }
-    }
-}
-
-/// Parses a thread-sweep list: comma-separated counts, each either a number
-/// (`4`) or an inclusive range (`1-8`, optionally strided: `2-16/2`).
-///
-/// Rejects zero, duplicates and empty lists — a sweep that silently dropped
-/// a requested point would corrupt baseline comparisons.
-///
-/// # Examples
-///
-/// ```
-/// use harness::experiments::parse_thread_list;
-/// assert_eq!(parse_thread_list("1,2,4").unwrap(), vec![1, 2, 4]);
-/// assert_eq!(parse_thread_list("1-4").unwrap(), vec![1, 2, 3, 4]);
-/// assert_eq!(parse_thread_list("2-8/2").unwrap(), vec![2, 4, 6, 8]);
-/// assert!(parse_thread_list("0,1").is_err());
-/// assert!(parse_thread_list("1,1").is_err());
-/// ```
-pub fn parse_thread_list(list: &str) -> Result<Vec<usize>, ExperimentError> {
-    let bad = |msg: String| ExperimentError::InvalidThreads(msg);
-    let parse_count = |token: &str| -> Result<usize, ExperimentError> {
-        let n: usize = token
-            .trim()
-            .parse()
-            .map_err(|_| bad(format!("{token:?} is not a thread count")))?;
-        if n == 0 {
-            return Err(bad("thread counts must be at least 1".to_string()));
-        }
-        Ok(n)
-    };
-    let mut threads = Vec::new();
-    for part in list.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        if let Some((range, step)) = part.split_once('/') {
-            let step = parse_count(step)?;
-            let (lo, hi) = range
-                .split_once('-')
-                .ok_or_else(|| bad(format!("{part:?}: stride requires a range (lo-hi/step)")))?;
-            let (lo, hi) = (parse_count(lo)?, parse_count(hi)?);
-            if lo > hi {
-                return Err(bad(format!("{part:?}: range is descending")));
-            }
-            threads.extend((lo..=hi).step_by(step));
-        } else if let Some((lo, hi)) = part.split_once('-') {
-            let (lo, hi) = (parse_count(lo)?, parse_count(hi)?);
-            if lo > hi {
-                return Err(bad(format!("{part:?}: range is descending")));
-            }
-            threads.extend(lo..=hi);
-        } else {
-            threads.push(parse_count(part)?);
-        }
-    }
-    if threads.is_empty() {
-        return Err(bad("the list selects no thread counts".to_string()));
-    }
-    let mut seen = std::collections::HashSet::new();
-    for &t in &threads {
-        if !seen.insert(t) {
-            return Err(bad(format!("thread count {t} appears twice")));
-        }
-    }
-    Ok(threads)
-}
-
-/// The parsed thread axis of a sweep: absolute counts plus CPU-count
-/// multipliers (the oversubscription axis).
-///
-/// Multiplier cells resolve to `multiplier × base_threads` at run time,
-/// where the base is the back-end's CPU count (the simulated machine's
-/// logical CPUs, or the host's available parallelism). They deliberately
-/// bypass the scale's thread cap: running more threads than CPUs is the
-/// point of the axis.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ThreadAxis {
-    /// Absolute thread counts (`4`, `1-8`, `2-16/2`).
-    pub counts: Vec<usize>,
-    /// CPU-count multipliers (`4x`, `1x-8x`, `2x-8x/2`).
-    pub multipliers: Vec<usize>,
-}
-
-/// Parses a thread-sweep list that may mix absolute counts with `x`-suffixed
-/// CPU-count multipliers: `"1,2,4x"`, `"1x-8x"`, `"2x-8x/2,16"`.
-///
-/// Plain tokens follow the [`parse_thread_list`] grammar; in a multiplier
-/// token every range boundary carries the `x` suffix (`1x-8x`, not `1-8x`).
-/// Zero and duplicates are rejected per sub-axis.
-///
-/// # Examples
-///
-/// ```
-/// use harness::experiments::parse_thread_axis;
-/// let axis = parse_thread_axis("1,2,4x,8x").unwrap();
-/// assert_eq!(axis.counts, vec![1, 2]);
-/// assert_eq!(axis.multipliers, vec![4, 8]);
-/// let axis = parse_thread_axis("1x-4x").unwrap();
-/// assert_eq!(axis.multipliers, vec![1, 2, 3, 4]);
-/// assert!(parse_thread_axis("x4").is_err());
-/// assert!(parse_thread_axis("1-8x").is_err());
-/// ```
-pub fn parse_thread_axis(list: &str) -> Result<ThreadAxis, ExperimentError> {
-    let bad = |msg: String| ExperimentError::InvalidThreads(msg);
-    let mut count_parts: Vec<String> = Vec::new();
-    let mut mult_parts: Vec<String> = Vec::new();
-    for part in list.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        if !part.to_ascii_lowercase().contains('x') {
-            count_parts.push(part.to_string());
-            continue;
-        }
-        // A multiplier token: strip the `x` from every range boundary and
-        // reuse the numeric grammar. The stride (after `/`) is a plain count.
-        let (range, step) = match part.split_once('/') {
-            Some((range, step)) => (range, Some(step)),
-            None => (part, None),
-        };
-        let boundaries: Result<Vec<&str>, ExperimentError> = range
-            .split('-')
-            .map(|token| {
-                let token = token.trim();
-                token
-                    .strip_suffix('x')
-                    .or_else(|| token.strip_suffix('X'))
-                    .ok_or_else(|| {
-                        bad(format!(
-                            "{part:?}: multiplier tokens end in 'x' (e.g. 4x, 1x-8x)"
-                        ))
-                    })
-            })
-            .collect();
-        let mut rebuilt = boundaries?.join("-");
-        if let Some(step) = step {
-            rebuilt.push('/');
-            rebuilt.push_str(step);
-        }
-        mult_parts.push(rebuilt);
-    }
-    let counts = if count_parts.is_empty() {
-        Vec::new()
-    } else {
-        parse_thread_list(&count_parts.join(","))?
-    };
-    let multipliers = if mult_parts.is_empty() {
-        Vec::new()
-    } else {
-        parse_thread_list(&mult_parts.join(",")).map_err(|err| match err {
-            ExperimentError::InvalidThreads(msg) => {
-                bad(msg.replace("thread count", "thread multiplier"))
-            }
-            other => other,
-        })?
-    };
-    if counts.is_empty() && multipliers.is_empty() {
-        return Err(bad("the list selects no thread counts".to_string()));
-    }
-    Ok(ThreadAxis {
-        counts,
-        multipliers,
-    })
-}
-
-/// Parses a shard-count sweep list (`--shards`): the same grammar as
-/// [`parse_thread_list`] (counts, ranges, strides; rejects zero, duplicates
-/// and empty lists).
-///
-/// # Examples
-///
-/// ```
-/// use harness::experiments::parse_shard_list;
-/// assert_eq!(parse_shard_list("1,2,4,8").unwrap(), vec![1, 2, 4, 8]);
-/// assert!(parse_shard_list("0").is_err());
-/// ```
-pub fn parse_shard_list(list: &str) -> Result<Vec<usize>, ExperimentError> {
-    parse_thread_list(list).map_err(|err| match err {
-        // Re-badge the diagnostic: the grammar is shared, the flag is not.
-        ExperimentError::InvalidThreads(msg) => {
-            ExperimentError::InvalidShards(msg.replace("thread count", "shard count"))
-        }
-        other => other,
-    })
-}
-
-/// Parses a batch-limit sweep list (`--batch`): the same grammar as
-/// [`parse_thread_list`] (counts, ranges, strides; rejects zero, duplicates
-/// and empty lists).
-///
-/// # Examples
-///
-/// ```
-/// use harness::experiments::parse_batch_list;
-/// assert_eq!(parse_batch_list("1,8,32").unwrap(), vec![1, 8, 32]);
-/// assert!(parse_batch_list("1,1").is_err());
-/// ```
-pub fn parse_batch_list(list: &str) -> Result<Vec<usize>, ExperimentError> {
-    parse_thread_list(list).map_err(|err| match err {
-        // Re-badge the diagnostic: the grammar is shared, the flag is not.
-        ExperimentError::InvalidThreads(msg) => {
-            ExperimentError::InvalidBatch(msg.replace("thread count", "batch limit"))
-        }
-        other => other,
-    })
-}
-
-/// One cell of the experiment grid: the full coordinate a [`Runner`]
-/// receives — thread count, load shape, and the scale-out axes.
-///
-/// `shards = 1` means a single lock guards all state (every workload's
-/// native shape); `batch = 0` means the workload's native single-write path
-/// (no group commit), while `batch >= 1` routes leveldb writes through
-/// group commit with that leader limit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GridPoint {
-    /// Worker (or simulated) thread count, always resolved to an absolute
-    /// number (multiplier cells are resolved before the runner sees them).
-    pub threads: usize,
-    /// Load shape of the cell.
-    pub mode: LoadMode,
-    /// Shard count (1 = unsharded).
-    pub shards: usize,
-    /// Group-commit batch limit (0 = the native non-batched path).
-    pub batch: usize,
-    /// Provenance of `threads`: 0 for an absolute count, `m >= 1` when the
-    /// cell came from an `m`-times-the-CPU-count multiplier token (`4x`) of
-    /// the oversubscription axis. Reporting only; `threads` is already
-    /// resolved.
-    pub multiplier: usize,
-}
-
-impl GridPoint {
-    /// A closed-loop, unsharded, non-batched cell — the historical default
-    /// shape of every grid before the scale-out axes existed.
-    pub fn closed(threads: usize) -> Self {
-        GridPoint {
-            threads,
-            mode: LoadMode::Closed,
-            shards: 1,
-            batch: 0,
-            multiplier: 0,
         }
     }
 }
@@ -646,14 +384,6 @@ impl WorkloadId {
             .collect()
     }
 
-    /// Whether this workload's runner can serve open-loop arrivals: the
-    /// kvmap contention loop (real threads pacing on the wall clock) and the
-    /// simulator (virtual-time event heap). The remaining substrates drive
-    /// external benchmark loops that own their own iteration structure.
-    pub const fn supports_open_loop(self) -> bool {
-        matches!(self, WorkloadId::KvMap | WorkloadId::Sim)
-    }
-
     /// The concrete [`WorkloadSpec`] this token selects.
     pub fn to_spec(self) -> WorkloadSpec {
         match self {
@@ -703,10 +433,17 @@ impl SubstrateWorkload {
         }
     }
 
-    /// Whether this substrate can serve open-loop arrivals (see
-    /// [`WorkloadId::supports_open_loop`]).
-    pub const fn supports_open_loop(self) -> bool {
-        matches!(self, SubstrateWorkload::KvMap)
+    /// Whether this substrate can serve open-loop arrivals: the kvmap
+    /// contention loop paces real threads on the wall clock, and so does
+    /// leveldb's group-commit write path (`batched`, a batch limit above 0);
+    /// native leveldb and the remaining substrates drive external benchmark
+    /// loops that own their own iteration structure.
+    pub const fn supports_open_loop(self, batched: bool) -> bool {
+        match self {
+            SubstrateWorkload::KvMap => true,
+            SubstrateWorkload::Leveldb => batched,
+            _ => false,
+        }
     }
 }
 
@@ -772,17 +509,19 @@ impl WorkloadSpec {
         }
     }
 
-    /// Whether the workload's runner can serve open-loop arrivals.
-    pub fn supports_open_loop(&self) -> bool {
+    /// Whether the workload's runner can serve open-loop arrivals, on the
+    /// group-commit write path if `batched` (the simulator always can:
+    /// arrivals are events on its virtual clock).
+    pub fn supports_open_loop(&self, batched: bool) -> bool {
         match self {
-            WorkloadSpec::Substrate(w) => w.supports_open_loop(),
+            WorkloadSpec::Substrate(w) => w.supports_open_loop(batched),
             WorkloadSpec::Sim(_) => true,
         }
     }
 }
 
 /// Everything needed to run (and re-run) one experiment: the full
-/// lock × workload × thread grid plus sizing. Construct with
+/// lock × workload × axis grid plus sizing. Construct with
 /// [`ExperimentSpec::new`] and the builder methods, then call
 /// [`ExperimentSpec::run`].
 #[derive(Debug, Clone)]
@@ -795,16 +534,14 @@ pub struct ExperimentSpec {
     pub locks: Vec<LockId>,
     /// Workloads to run; each sample records which one produced it.
     pub workloads: Vec<WorkloadSpec>,
-    /// Thread counts to sweep. Empty = the runner's default for the scale
-    /// (the machine's paper sweep on the simulator, one substrate sizing
-    /// otherwise) unless [`thread_multipliers`](Self::thread_multipliers)
-    /// pins the axis instead. Explicit lists are still capped by the scale.
-    pub threads: Vec<usize>,
-    /// Oversubscription axis: CPU-count multipliers resolved against the
-    /// back-end's base thread count (`4` → four threads per logical CPU).
-    /// Resolved cells bypass the scale's thread cap — running past the CPU
-    /// count is the point. Empty = no multiplier cells.
-    pub thread_multipliers: Vec<usize>,
+    /// The swept points of every [`Axis`]. No thread counts = the runner's
+    /// default for the scale (the machine's paper sweep on the simulator,
+    /// one substrate sizing otherwise) unless CPU-count multiples pin the
+    /// axis; explicit counts are capped by the scale, multiples are not. An
+    /// unswept rate axis = closed loop.
+    pub axes: AxisLists,
+    /// Inter-arrival distribution of the open-loop cells.
+    pub arrival: Arrival,
     /// Run sizing.
     pub scale: Scale,
     /// Repetitions averaged per data point; 0 = the scale's default.
@@ -813,15 +550,6 @@ pub struct ExperimentSpec {
     pub metric: Metric,
     /// Wall-clock override for substrate runs, in milliseconds.
     pub duration_ms: Option<u64>,
-    /// The load axis: closed-loop hammering (the default) or an open-loop
-    /// offered-rate sweep.
-    pub load: LoadSpec,
-    /// Shard counts to sweep on the sharded kv-map. Empty = no shard axis
-    /// (every cell runs unsharded, `shards = 1`).
-    pub shards: Vec<usize>,
-    /// Group-commit batch limits to sweep on leveldb. Empty = no batch axis
-    /// (every cell runs the native non-batched write path, `batch = 0`).
-    pub batches: Vec<usize>,
 }
 
 impl ExperimentSpec {
@@ -834,15 +562,12 @@ impl ExperimentSpec {
             id,
             locks: Vec::new(),
             workloads: Vec::new(),
-            threads: Vec::new(),
-            thread_multipliers: Vec::new(),
+            axes: AxisLists::default(),
+            arrival: Arrival::default(),
             scale: Scale::from_env(),
             repetitions: 0,
             metric: Metric::ThroughputOpsPerUs,
             duration_ms: None,
-            load: LoadSpec::Closed,
-            shards: Vec::new(),
-            batches: Vec::new(),
         }
     }
 
@@ -878,22 +603,15 @@ impl ExperimentSpec {
 
     /// Sets an explicit thread sweep (empty = runner default).
     pub fn threads(mut self, threads: Vec<usize>) -> Self {
-        self.threads = threads;
+        let counts: Vec<u64> = threads.into_iter().map(|t| t as u64).collect();
+        self.axes
+            .set(Axis::Threads, (!counts.is_empty()).then_some(counts));
         self
     }
 
-    /// Sets the oversubscription axis: each multiplier adds a cell at
-    /// `multiplier × base_threads`, uncapped by the scale.
-    pub fn thread_multipliers(mut self, multipliers: Vec<usize>) -> Self {
-        self.thread_multipliers = multipliers;
-        self
-    }
-
-    /// Sets both halves of the thread axis from a parsed
-    /// [`ThreadAxis`] (the `--threads` grammar with `x` tokens).
-    pub fn thread_axis(mut self, axis: ThreadAxis) -> Self {
-        self.threads = axis.counts;
-        self.thread_multipliers = axis.multipliers;
+    /// Sweeps `axis` over `points`; an empty list fails validation.
+    pub fn axis(mut self, axis: Axis, points: Vec<u64>) -> Self {
+        self.axes.set(axis, Some(points));
         self
     }
 
@@ -921,32 +639,11 @@ impl ExperimentSpec {
         self
     }
 
-    /// Sets the load axis (closed-loop, or an open-loop rate sweep).
-    pub fn load(mut self, load: LoadSpec) -> Self {
-        self.load = load;
-        self
-    }
-
-    /// Shorthand: open-loop at each listed rate (requests per second).
+    /// Open loop at each listed rate (requests per second), arrivals drawn
+    /// from `arrival`. An empty list fails validation.
     pub fn open_rates(mut self, rates_per_sec: Vec<u64>, arrival: Arrival) -> Self {
-        self.load = LoadSpec::Open {
-            rates_per_sec,
-            arrival,
-        };
-        self
-    }
-
-    /// Sets the shard-count sweep (kvmap only; empty = no shard axis).
-    pub fn shards(mut self, shards: Vec<usize>) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Sets the group-commit batch sweep (leveldb only; empty = no batch
-    /// axis).
-    pub fn batches(mut self, batches: Vec<usize>) -> Self {
-        self.batches = batches;
-        self
+        self.arrival = arrival;
+        self.axis(Axis::Rate, rates_per_sec)
     }
 
     /// The repetitions actually run per data point.
@@ -967,9 +664,9 @@ impl ExperimentSpec {
 
     /// Checks the spec before anything runs, so a multi-minute grid cannot
     /// fail halfway through on a condition knowable up front: non-empty
-    /// lock/workload sets, CSV-representable id and labels, a metric every
-    /// selected runner can measure, and a load mode every selected runner
-    /// (and the metric) supports.
+    /// lock/workload sets, CSV-representable id and labels, well-formed axis
+    /// lists, a metric every selected runner can measure, and no swept axis
+    /// a selected workload lacks.
     pub fn validate(&self) -> Result<(), ExperimentError> {
         if self.locks.is_empty() {
             return Err(ExperimentError::EmptyLocks);
@@ -984,51 +681,15 @@ impl ExperimentSpec {
                 return Err(ExperimentError::InvalidId(name.to_string()));
             }
         }
-        if self.metric.requires_open_loop() && !self.load.is_open() {
+        if self.metric.requires_open_loop() && !self.axes.is_swept(Axis::Rate) {
             // There is no queue (and no per-request sojourn) when workers
             // re-request the lock the instant they release it.
             return Err(ExperimentError::ModeMetricMismatch {
                 metric: self.metric.name(),
-                mode: self.load.name(),
+                mode: LoadMode::Closed.name(),
             });
         }
-        if let LoadSpec::Open { rates_per_sec, .. } = &self.load {
-            if rates_per_sec.is_empty() {
-                return Err(ExperimentError::InvalidRate(
-                    "the open-loop spec lists no offered rates".to_string(),
-                ));
-            }
-            if rates_per_sec.contains(&0) {
-                return Err(ExperimentError::InvalidRate(
-                    "offered rates must be at least 1 request/s".to_string(),
-                ));
-            }
-        }
-        if self.thread_multipliers.contains(&0) {
-            return Err(ExperimentError::InvalidThreads(
-                "thread multipliers must be at least 1".to_string(),
-            ));
-        }
-        {
-            let mut seen = std::collections::HashSet::new();
-            for &m in &self.thread_multipliers {
-                if !seen.insert(m) {
-                    return Err(ExperimentError::InvalidThreads(format!(
-                        "thread multiplier {m} appears twice"
-                    )));
-                }
-            }
-        }
-        if self.shards.contains(&0) {
-            return Err(ExperimentError::InvalidShards(
-                "shard counts must be at least 1".to_string(),
-            ));
-        }
-        if self.batches.contains(&0) {
-            return Err(ExperimentError::InvalidBatch(
-                "batch limits must be at least 1".to_string(),
-            ));
-        }
+        self.axes.check()?;
         for workload in &self.workloads {
             if matches!(workload, WorkloadSpec::Substrate(_))
                 && self.metric == Metric::LlcMissesPerUs
@@ -1040,35 +701,10 @@ impl ExperimentSpec {
                     metric: self.metric.name(),
                 });
             }
-            let is_batched_leveldb = matches!(
-                workload,
-                WorkloadSpec::Substrate(SubstrateWorkload::Leveldb)
-            ) && !self.batches.is_empty();
-            // The group-commit write path paces arrivals itself, so a
-            // batched leveldb spec may serve open-loop load even though the
-            // native readrandom loop cannot.
-            if self.load.is_open() && !workload.supports_open_loop() && !is_batched_leveldb {
-                return Err(ExperimentError::UnsupportedLoadMode {
-                    workload: workload.label().to_string(),
-                });
-            }
-            if !self.shards.is_empty()
-                && !matches!(workload, WorkloadSpec::Substrate(SubstrateWorkload::KvMap))
-            {
+            if let Some(axis) = self.axes.missing_on(workload) {
                 return Err(ExperimentError::UnsupportedAxis {
                     workload: workload.label().to_string(),
-                    axis: "shards",
-                });
-            }
-            if !self.batches.is_empty()
-                && !matches!(
-                    workload,
-                    WorkloadSpec::Substrate(SubstrateWorkload::Leveldb)
-                )
-            {
-                return Err(ExperimentError::UnsupportedAxis {
-                    workload: workload.label().to_string(),
-                    axis: "batch",
+                    axis,
                 });
             }
         }
@@ -1079,71 +715,26 @@ impl ExperimentSpec {
     ///
     /// Validates first (see [`ExperimentSpec::validate`]) so nothing runs on
     /// a spec that cannot finish or serialize. Workloads run in order;
-    /// within a workload the load axis is the outer loop, then the thread
-    /// sweep, then the lock set, so partial output (tables printed by
-    /// callers as sweeps complete) groups the way the paper's figures do.
+    /// within a workload the last axis varies slowest and the first fastest
+    /// — offered rate, then shards and batch (which never both vary: they
+    /// apply to different workloads), then threads — and the lock set
+    /// innermost, so partial output groups the way the paper's figures do.
     pub fn run(&self) -> Result<RunReport, ExperimentError> {
         self.validate()?;
         let mut samples = Vec::new();
         for workload in &self.workloads {
             let runner = workload.runner();
-            let threads = if self.threads.is_empty() {
-                // A pure multiplier axis pins the sweep on its own; only a
-                // spec with no thread axis at all falls back to the default.
-                if self.thread_multipliers.is_empty() {
-                    runner.default_threads(self.scale)
-                } else {
-                    Vec::new()
-                }
-            } else {
-                self.scale.config().cap_threads(&self.threads)
-            };
-            // The thread axis the cells iterate: capped absolutes first,
-            // then the multiplier cells resolved against the back-end's CPU
-            // count — deliberately uncapped (oversubscription is the point)
-            // and deduplicated against already-present absolute counts.
-            let mut thread_cells: Vec<(usize, usize)> = threads.iter().map(|&t| (t, 0)).collect();
-            let base = runner.base_threads();
-            for &m in &self.thread_multipliers {
-                let resolved = m.saturating_mul(base).max(1);
-                if !thread_cells.iter().any(|&(t, _)| t == resolved) {
-                    thread_cells.push((resolved, m));
-                }
+            let mut lists: [Vec<u64>; Axis::COUNT] = Default::default();
+            for axis in Axis::ALL {
+                lists[axis as usize] = match axis.default_point() {
+                    Some(default) if !self.axes.is_swept(axis) => vec![default],
+                    Some(_) => self.axes[axis].to_vec(),
+                    None => self.thread_points(&*runner)?,
+                };
             }
-            if thread_cells.is_empty() {
-                return Err(ExperimentError::InvalidThreads(format!(
-                    "the {:?} scale cap removed every requested thread count",
-                    self.scale
-                )));
-            }
-            // The scale-out axes: one-point defaults keep unsharded /
-            // non-batched grids identical to their historical shape.
-            let shard_points: &[usize] = if self.shards.is_empty() {
-                &[1]
-            } else {
-                &self.shards
-            };
-            let batch_points: &[usize] = if self.batches.is_empty() {
-                &[0]
-            } else {
-                &self.batches
-            };
-            for mode in self.load.points() {
-                for &shards in shard_points {
-                    for &batch in batch_points {
-                        for &(t, multiplier) in &thread_cells {
-                            for &lock in &self.locks {
-                                let point = GridPoint {
-                                    threads: t,
-                                    mode,
-                                    shards,
-                                    batch,
-                                    multiplier,
-                                };
-                                samples.extend(runner.run_cell(self, lock, point)?);
-                            }
-                        }
-                    }
+            for point in GridPoint::grid(&lists) {
+                for &lock in &self.locks {
+                    samples.extend(runner.run_cell(self, lock, point)?);
                 }
             }
         }
@@ -1154,80 +745,63 @@ impl ExperimentSpec {
             samples,
         })
     }
+
+    /// The thread counts the cells iterate on `runner`: the capped counts
+    /// first, then the CPU-count multiples resolved against the back-end —
+    /// uncapped (oversubscription is the point) and deduplicated against
+    /// the counts. Only a spec with neither falls back to the default.
+    fn thread_points(&self, runner: &dyn Runner) -> Result<Vec<u64>, ExperimentError> {
+        let as_usize = |t: u64| usize::try_from(t).unwrap_or(usize::MAX);
+        let counts: Vec<usize> = self.axes[Axis::Threads]
+            .iter()
+            .map(|&t| as_usize(t))
+            .collect();
+        let multiples = &self.axes.multiples;
+        let mut threads = if counts.is_empty() && multiples.is_empty() {
+            runner.default_threads(self.scale)
+        } else {
+            self.scale.config().cap_threads(&counts)
+        };
+        let base = runner.base_threads();
+        for &m in multiples {
+            let resolved = as_usize(m).saturating_mul(base).max(1);
+            if !threads.contains(&resolved) {
+                threads.push(resolved);
+            }
+        }
+        if threads.is_empty() {
+            return Err(Axis::Threads.invalid(format!(
+                "the {:?} scale cap removed every requested thread count",
+                self.scale
+            )));
+        }
+        Ok(threads.into_iter().map(|t| t as u64).collect())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn thread_lists_parse_counts_ranges_and_strides() {
-        assert_eq!(parse_thread_list("1,2,4").unwrap(), vec![1, 2, 4]);
-        assert_eq!(parse_thread_list(" 8 ").unwrap(), vec![8]);
-        assert_eq!(parse_thread_list("1-4").unwrap(), vec![1, 2, 3, 4]);
-        assert_eq!(parse_thread_list("2-8/2").unwrap(), vec![2, 4, 6, 8]);
-        assert_eq!(parse_thread_list("1,4-6").unwrap(), vec![1, 4, 5, 6]);
-    }
-
-    #[test]
-    fn thread_lists_reject_zero_duplicates_and_junk() {
-        assert!(parse_thread_list("0").is_err());
-        assert!(parse_thread_list("1,0,2").is_err());
-        assert!(parse_thread_list("1,1").is_err());
-        assert!(parse_thread_list("2,1-3").is_err(), "range re-lists 2");
-        assert!(parse_thread_list("").is_err());
-        assert!(parse_thread_list("four").is_err());
-        assert!(parse_thread_list("4-1").is_err());
-        assert!(parse_thread_list("4/2").is_err());
-    }
-
-    #[test]
-    fn thread_axis_splits_counts_from_multipliers() {
-        let axis = parse_thread_axis("1,2,4").unwrap();
-        assert_eq!(axis.counts, vec![1, 2, 4]);
-        assert!(axis.multipliers.is_empty());
-        let axis = parse_thread_axis("1,2,4x,8x").unwrap();
-        assert_eq!(axis.counts, vec![1, 2]);
-        assert_eq!(axis.multipliers, vec![4, 8]);
-        let axis = parse_thread_axis("1x-4x").unwrap();
-        assert!(axis.counts.is_empty());
-        assert_eq!(axis.multipliers, vec![1, 2, 3, 4]);
-        let axis = parse_thread_axis("2x-8x/2").unwrap();
-        assert_eq!(axis.multipliers, vec![2, 4, 6, 8]);
-        let axis = parse_thread_axis("2X").unwrap();
-        assert_eq!(axis.multipliers, vec![2], "upper-case x is accepted");
-    }
-
-    #[test]
-    fn thread_axis_rejects_malformed_multipliers() {
-        assert!(parse_thread_axis("x4").is_err(), "prefix x is not a token");
-        assert!(parse_thread_axis("1-8x").is_err(), "both ends need the x");
-        assert!(parse_thread_axis("1x-8").is_err());
-        assert!(parse_thread_axis("0x").is_err());
-        assert!(parse_thread_axis("2x,2x").is_err(), "duplicate multiplier");
-        assert!(parse_thread_axis("").is_err());
-        // The re-badged diagnostic names the multiplier, not a thread count.
-        match parse_thread_axis("0x").unwrap_err() {
-            ExperimentError::InvalidThreads(msg) => {
-                assert!(msg.contains("multiplier"), "{msg}");
-            }
-            other => panic!("expected InvalidThreads, got {other:?}"),
-        }
+    fn sim_spec(multiples: Vec<u64>) -> ExperimentSpec {
+        let mut spec = ExperimentSpec::new("t")
+            .workload(WorkloadId::Sim.to_spec())
+            .scale(Scale::Smoke)
+            .repetitions(1);
+        spec.axes.multiples = multiples;
+        spec
     }
 
     #[test]
     fn multiplier_cells_resolve_against_the_machine_and_bypass_the_cap() {
         // Smoke caps absolute counts at 8, but a 2x cell on the 72-CPU paper
         // machine must still run 144 simulated threads.
-        let spec = ExperimentSpec::new("t")
+        let report = sim_spec(vec![2])
             .lock(LockId::Mcs)
-            .workload(WorkloadId::Sim.to_spec())
-            .scale(Scale::Smoke)
-            .repetitions(1)
             .threads(vec![2])
-            .thread_multipliers(vec![2]);
-        let report = spec.run().unwrap();
-        let threads: Vec<usize> = report.samples.iter().map(|s| s.threads).collect();
+            .run()
+            .unwrap();
+        let threads: Vec<usize> = report.samples.iter().map(|s| s.point.threads()).collect();
         assert!(threads.contains(&2), "absolute cell ran: {threads:?}");
         assert!(
             threads.contains(&144),
@@ -1241,18 +815,15 @@ mod tests {
         // plain MCS queue collapses under preemption-in-queue while the
         // concurrency-restricting lock keeps its active set near the core
         // count and holds close to its 1x throughput.
-        let spec = ExperimentSpec::new("t")
+        let report = sim_spec(vec![1, 8])
             .locks(vec![LockId::Mcs, LockId::Mcscr])
-            .workload(WorkloadId::Sim.to_spec())
-            .scale(Scale::Smoke)
-            .repetitions(1)
-            .thread_multipliers(vec![1, 8]);
-        let report = spec.run().unwrap();
+            .run()
+            .unwrap();
         let value = |lock: &str, threads: usize| -> f64 {
             report
                 .samples
                 .iter()
-                .find(|s| s.lock == lock && s.threads == threads)
+                .find(|s| s.lock == lock && s.point.threads() == threads)
                 .unwrap_or_else(|| panic!("missing sample {lock}@{threads}"))
                 .value
         };
@@ -1275,15 +846,9 @@ mod tests {
 
     #[test]
     fn a_pure_multiplier_axis_skips_the_default_thread_sweep() {
-        let spec = ExperimentSpec::new("t")
-            .lock(LockId::Mcs)
-            .workload(WorkloadId::Sim.to_spec())
-            .scale(Scale::Smoke)
-            .repetitions(1)
-            .thread_multipliers(vec![1]);
-        let report = spec.run().unwrap();
+        let report = sim_spec(vec![1]).lock(LockId::Mcs).run().unwrap();
         let threads: std::collections::HashSet<usize> =
-            report.samples.iter().map(|s| s.threads).collect();
+            report.samples.iter().map(|s| s.point.threads()).collect();
         assert_eq!(
             threads,
             std::collections::HashSet::from([72]),
@@ -1292,21 +857,46 @@ mod tests {
     }
 
     #[test]
-    fn multiplier_validation_rejects_zero_and_duplicates() {
-        let base = || {
+    fn validation_rejects_empty_zero_and_repeated_points_on_every_axis() {
+        let spec = |axis: Axis, points: Vec<u64>| {
             ExperimentSpec::new("t")
                 .lock(LockId::Cna)
-                .workload(WorkloadId::Sim.to_spec())
+                .workload(WorkloadId::KvMap.to_spec())
+                .axis(axis, points)
         };
-        assert!(matches!(
-            base().thread_multipliers(vec![0]).validate(),
-            Err(ExperimentError::InvalidThreads(_))
-        ));
-        assert!(matches!(
-            base().thread_multipliers(vec![2, 2]).validate(),
-            Err(ExperimentError::InvalidThreads(_))
-        ));
-        assert!(base().thread_multipliers(vec![1, 8]).validate().is_ok());
+        for axis in Axis::ALL {
+            for points in [vec![], vec![0], vec![2, 2]] {
+                match spec(axis, points.clone()).validate() {
+                    Err(ExperimentError::InvalidAxis { axis: got, .. }) => assert_eq!(got, axis),
+                    other => panic!("{axis} {points:?}: expected InvalidAxis, got {other:?}"),
+                }
+            }
+        }
+        // An open-loop spec listing no rates is an error, not a closed run,
+        // whatever the metric.
+        for metric in [Metric::ThroughputOpsPerUs, Metric::P99Sojourn] {
+            let err = spec(Axis::Threads, vec![1])
+                .open_rates(vec![], Arrival::Fixed)
+                .metric(metric)
+                .validate()
+                .unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "invalid rate list: the list selects no rates"
+            );
+        }
+        // Only `threads` reads an empty list as the runner's default.
+        assert!(spec(Axis::Rate, vec![1]).threads(vec![]).validate().is_ok());
+        for multiples in [vec![0], vec![2, 2]] {
+            assert!(matches!(
+                sim_spec(multiples).lock(LockId::Cna).validate(),
+                Err(ExperimentError::InvalidAxis {
+                    axis: Axis::Threads,
+                    ..
+                })
+            ));
+        }
+        assert!(sim_spec(vec![1, 8]).lock(LockId::Cna).validate().is_ok());
     }
 
     #[test]
@@ -1332,9 +922,6 @@ mod tests {
             "expected Unknown, got {err:?}"
         );
         assert!(err.to_string().contains("kvmap"), "{err}");
-        assert!(WorkloadId::KvMap.supports_open_loop());
-        assert!(WorkloadId::Sim.supports_open_loop());
-        assert!(!WorkloadId::Leveldb.supports_open_loop());
     }
 
     #[test]
@@ -1373,7 +960,7 @@ mod tests {
             .run()
             .expect("open sim counts misses");
         assert_eq!(report.samples.len(), 1);
-        assert_eq!(report.samples[0].mode, "open");
+        assert_eq!(report.samples[0].mode(), "open");
         assert_eq!(report.samples[0].unit, "misses/us");
         assert!(report.samples[0].value > 0.0, "{:?}", report.samples[0]);
         assert!(matches!(
@@ -1383,100 +970,41 @@ mod tests {
     }
 
     #[test]
-    fn open_loop_specs_reject_unsupported_workloads_and_bad_rates() {
-        let spec = ExperimentSpec::new("t")
-            .lock(LockId::Cna)
-            .workload(WorkloadId::Leveldb.to_spec())
-            .open_rates(vec![1_000], Arrival::Poisson);
-        match spec.validate() {
-            Err(ExperimentError::UnsupportedLoadMode { workload }) => {
-                assert_eq!(workload, "leveldb");
-            }
-            other => panic!("expected UnsupportedLoadMode, got {other:?}"),
-        }
-        for rates in [vec![], vec![0]] {
-            let spec = ExperimentSpec::new("t")
+    fn swept_axes_validate_against_their_workloads() {
+        let spec = |workload: WorkloadId| {
+            ExperimentSpec::new("t")
                 .lock(LockId::Cna)
-                .workload(WorkloadId::Sim.to_spec())
-                .open_rates(rates.clone(), Arrival::Fixed);
-            assert!(
-                matches!(spec.validate(), Err(ExperimentError::InvalidRate(_))),
-                "rates {rates:?} should be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn shard_and_batch_lists_parse_and_re_badge_errors() {
-        assert_eq!(parse_shard_list("1,2,4,8").unwrap(), vec![1, 2, 4, 8]);
-        assert_eq!(parse_batch_list("1-4").unwrap(), vec![1, 2, 3, 4]);
-        match parse_shard_list("0").unwrap_err() {
-            ExperimentError::InvalidShards(msg) => {
-                assert!(msg.contains("shard count"), "{msg}");
+                .workload(workload.to_spec())
+        };
+        for (workload, axis) in [
+            (WorkloadId::Sim, Axis::Shards),
+            (WorkloadId::KvMap, Axis::Batch),
+            (WorkloadId::Leveldb, Axis::Rate),
+        ] {
+            match spec(workload).axis(axis, vec![1, 4]).validate() {
+                Err(ExperimentError::UnsupportedAxis {
+                    workload: label,
+                    axis: got,
+                }) => {
+                    assert_eq!((label.as_str(), got), (workload.name(), axis));
+                }
+                other => panic!("{axis} on {workload}: expected UnsupportedAxis, got {other:?}"),
             }
-            other => panic!("expected InvalidShards, got {other:?}"),
         }
-        match parse_batch_list("1,1").unwrap_err() {
-            ExperimentError::InvalidBatch(msg) => {
-                assert!(msg.contains("batch limit"), "{msg}");
-            }
-            other => panic!("expected InvalidBatch, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn scale_out_axes_validate_against_their_workloads() {
-        // Shards on a non-kvmap workload: a typed axis error.
-        let spec = ExperimentSpec::new("t")
-            .lock(LockId::Cna)
-            .workload(WorkloadId::Sim.to_spec())
-            .shards(vec![1, 4]);
-        match spec.validate() {
-            Err(ExperimentError::UnsupportedAxis { workload, axis }) => {
-                assert_eq!(workload, "sim");
-                assert_eq!(axis, "shards");
-            }
-            other => panic!("expected UnsupportedAxis, got {other:?}"),
-        }
-        // Batch on a non-leveldb workload likewise.
-        let spec = ExperimentSpec::new("t")
-            .lock(LockId::Cna)
-            .workload(WorkloadId::KvMap.to_spec())
-            .batches(vec![8]);
-        match spec.validate() {
-            Err(ExperimentError::UnsupportedAxis { axis, .. }) => assert_eq!(axis, "batch"),
-            other => panic!("expected UnsupportedAxis, got {other:?}"),
-        }
-        // Zero values are rejected even when set via the builder.
-        let spec = ExperimentSpec::new("t")
-            .lock(LockId::Cna)
-            .workload(WorkloadId::KvMap.to_spec())
-            .shards(vec![0]);
-        assert!(matches!(
-            spec.validate(),
-            Err(ExperimentError::InvalidShards(_))
-        ));
-        let spec = ExperimentSpec::new("t")
-            .lock(LockId::Cna)
-            .workload(WorkloadId::Leveldb.to_spec())
-            .batches(vec![0]);
-        assert!(matches!(
-            spec.validate(),
-            Err(ExperimentError::InvalidBatch(_))
-        ));
+        let err = spec(WorkloadId::Leveldb)
+            .open_rates(vec![1_000], Arrival::Poisson)
+            .validate()
+            .unwrap_err();
+        assert!(err.to_string().contains("rate axis"), "{err}");
         // The axes on their own workloads pass validation.
-        assert!(ExperimentSpec::new("t")
-            .lock(LockId::Cna)
-            .workload(WorkloadId::KvMap.to_spec())
-            .shards(vec![1, 4])
+        assert!(spec(WorkloadId::KvMap)
+            .axis(Axis::Shards, vec![1, 4])
             .validate()
             .is_ok());
         // Batched leveldb may serve open-loop load; native leveldb may not
-        // (covered above), and the batch axis unlocks it.
-        assert!(ExperimentSpec::new("t")
-            .lock(LockId::Cna)
-            .workload(WorkloadId::Leveldb.to_spec())
-            .batches(vec![1, 16])
+        // (above), and the batch axis unlocks it.
+        assert!(spec(WorkloadId::Leveldb)
+            .axis(Axis::Batch, vec![1, 16])
             .open_rates(vec![10_000], Arrival::Poisson)
             .metric(Metric::P99Sojourn)
             .validate()
@@ -1523,7 +1051,10 @@ mod tests {
             .threads(vec![4096]);
         assert!(matches!(
             spec.run(),
-            Err(ExperimentError::InvalidThreads(_))
+            Err(ExperimentError::InvalidAxis {
+                axis: Axis::Threads,
+                ..
+            })
         ));
     }
 

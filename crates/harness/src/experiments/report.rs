@@ -1,14 +1,17 @@
 //! Structured experiment results: raw samples, aggregated sweeps, and the
 //! CSV/JSON report files under `target/experiments/`.
 
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
-use super::ExperimentError;
+use super::axis::shown_axes;
+use super::{Axis, ExperimentError, GridPoint};
 use crate::table::{experiments_dir, render_table, write_report_file};
 
 /// One measured data point: a single repetition of one lock on one workload
-/// at one thread count and load point. Carries enough metadata to regenerate
-/// any figure without consulting the spec that produced it.
+/// at one grid point. Carries enough metadata to regenerate any figure
+/// without consulting the spec that produced it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
     /// Workload label (`kvmap`, `sim`, `wis/lock1`, ...).
@@ -17,16 +20,8 @@ pub struct Sample {
     pub lock: String,
     /// Plot label (`CNA`, `MCS`, `CNA (opt)`, ...).
     pub label: String,
-    /// Worker (or simulated) thread count.
-    pub threads: usize,
-    /// Shard count of the cell (sharded kv-map); 1 for unsharded workloads.
-    pub shards: usize,
-    /// Group-commit batch limit (leveldb write path); 0 for native paths.
-    pub batch: usize,
-    /// Load shape of the cell (`closed` / `open`).
-    pub mode: String,
-    /// Offered load in requests per second; 0 for closed-loop cells.
-    pub rate_per_sec: u64,
+    /// The cell's coordinate on every [`Axis`].
+    pub point: GridPoint,
     /// Repetition index within the cell.
     pub rep: usize,
     /// Metric token (`throughput`, `p99`, `queue-depth`, ...).
@@ -50,26 +45,26 @@ pub struct Sample {
     pub elapsed_ms: f64,
 }
 
-/// One row of an aggregated sweep: mean metric per lock at one
-/// (thread count, shard count, batch limit, offered rate) grid point.
+impl Sample {
+    /// Load shape of the cell (`closed` / `open`), the report's `mode`
+    /// column.
+    pub fn mode(&self) -> &'static str {
+        self.point.mode(Default::default()).name()
+    }
+}
+
+/// One row of an aggregated sweep: mean metric per lock at one grid point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepRow {
-    /// Thread count.
-    pub threads: usize,
-    /// Shard count of the row; 1 for unsharded rows.
-    pub shards: usize,
-    /// Group-commit batch limit of the row; 0 for native paths.
-    pub batch: usize,
-    /// Offered load of the row; 0 for closed-loop rows.
-    pub rate_per_sec: u64,
+    /// The row's coordinate on every [`Axis`].
+    pub point: GridPoint,
     /// Mean value per lock, in [`SweepResult::locks`] order. `NaN` marks a
     /// cell with no samples.
     pub values: Vec<f64>,
 }
 
 /// The aggregated (mean-over-repetitions) table of one workload of a report
-/// — rows by (thread count, rate), columns by lock; what a paper figure
-/// plots.
+/// — rows by grid point, columns by lock; what a paper figure plots.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepResult {
     /// Workload label shared by the aggregated samples.
@@ -82,7 +77,7 @@ pub struct SweepResult {
     pub locks: Vec<String>,
     /// Plot labels, parallel to [`SweepResult::locks`].
     pub labels: Vec<String>,
-    /// Rows in ascending (thread count, shards, batch, rate) order.
+    /// Rows in ascending grid-point order.
     pub rows: Vec<SweepRow>,
 }
 
@@ -94,19 +89,10 @@ impl SweepResult {
             .or_else(|| self.labels.iter().position(|l| l == lock))
     }
 
-    /// Whether any row carries an offered rate (i.e. the sweep is open-loop).
-    pub fn has_rates(&self) -> bool {
-        self.rows.iter().any(|r| r.rate_per_sec > 0)
-    }
-
-    /// Whether the sweep varies the shard axis (any row with shards ≠ 1).
-    pub fn has_shards(&self) -> bool {
-        self.rows.iter().any(|r| r.shards != 1)
-    }
-
-    /// Whether the sweep drives a group-commit path (any row with batch > 0).
-    pub fn has_batches(&self) -> bool {
-        self.rows.iter().any(|r| r.batch > 0)
+    /// The axes the sweep's table shows: threads, and every axis some row
+    /// leaves off its default point.
+    pub fn axes(&self) -> Vec<Axis> {
+        shown_axes(self.rows.iter().map(|r| r.point))
     }
 
     /// Mean value for `lock` (canonical name or plot label) at the last
@@ -117,102 +103,45 @@ impl SweepResult {
     }
 
     /// Mean value for `lock` at a specific thread count (first matching row
-    /// — unambiguous for closed sweeps; open sweeps should use
-    /// [`SweepResult::value_at_rate`]).
+    /// — unambiguous when no other axis varies).
     pub fn value_at(&self, lock: &str, threads: usize) -> Option<f64> {
+        self.value_where(lock, &[(Axis::Threads, threads as u64)])
+    }
+
+    /// Mean value for `lock` in the first row whose coordinates match every
+    /// `(axis, point)` given.
+    pub fn value_where(&self, lock: &str, coords: &[(Axis, u64)]) -> Option<f64> {
         let idx = self.column(lock)?;
         self.rows
             .iter()
-            .find(|r| r.threads == threads)
+            .find(|r| coords.iter().all(|&(axis, p)| r.point[axis] == p))
             .map(|r| r.values[idx])
     }
 
-    /// Mean value for `lock` at a specific (thread count, rate) point
-    /// (first matching row — sweeps over the shard or batch axis should use
-    /// [`SweepResult::value_at_cell`]).
-    pub fn value_at_rate(&self, lock: &str, threads: usize, rate_per_sec: u64) -> Option<f64> {
-        let idx = self.column(lock)?;
-        self.rows
-            .iter()
-            .find(|r| r.threads == threads && r.rate_per_sec == rate_per_sec)
-            .map(|r| r.values[idx])
-    }
-
-    /// Mean value for `lock` at a fully-qualified grid cell
-    /// (thread count, shard count, batch limit, offered rate).
-    pub fn value_at_cell(
-        &self,
-        lock: &str,
-        threads: usize,
-        shards: usize,
-        batch: usize,
-        rate_per_sec: u64,
-    ) -> Option<f64> {
-        let idx = self.column(lock)?;
-        self.rows
-            .iter()
-            .find(|r| {
-                r.threads == threads
-                    && r.shards == shards
-                    && r.batch == batch
-                    && r.rate_per_sec == rate_per_sec
-            })
-            .map(|r| r.values[idx])
-    }
-
-    /// Renders the sweep as an aligned text table. Closed single-lock-path
-    /// sweeps keep the historical `threads`-keyed shape; open sweeps add a
-    /// `rate/s` column and the scale-out axes add `shards` / `batch` columns
-    /// only when they actually vary.
+    /// Renders the sweep as an aligned text table: a column per shown axis
+    /// (see [`SweepResult::axes`]), then one per lock.
     pub fn render(&self, title: &str) -> String {
-        let rated = self.has_rates();
-        let sharded = self.has_shards();
-        let batched = self.has_batches();
-        let mut header = vec!["threads".to_string()];
-        if sharded {
-            header.push("shards".to_string());
-        }
-        if batched {
-            header.push("batch".to_string());
-        }
-        if rated {
-            header.push("rate/s".to_string());
-        }
+        let axes = self.axes();
+        let mut header: Vec<String> = axes.iter().map(|a| a.header().to_string()).collect();
         header.extend(self.labels.iter().map(|l| format!("{l} [{}]", self.unit)));
         let rows: Vec<Vec<String>> = self
             .rows
             .iter()
             .map(|r| {
-                let mut cells = vec![r.threads.to_string()];
-                if sharded {
-                    cells.push(r.shards.to_string());
-                }
-                if batched {
-                    cells.push(r.batch.to_string());
-                }
-                if rated {
-                    cells.push(r.rate_per_sec.to_string());
-                }
-                cells.extend(r.values.iter().map(|v| format!("{v:.3}")));
-                cells
+                axes.iter()
+                    .map(|&a| r.point[a].to_string())
+                    .chain(r.values.iter().map(|v| format!("{v:.3}")))
+                    .collect()
             })
             .collect();
         render_table(title, &header, &rows)
     }
 }
 
-/// The CSV column order (also the JSON field order of each sample).
-const CSV_COLUMNS: [&str; 20] = [
-    "id",
-    "scale",
-    "workload",
-    "lock",
-    "label",
-    "threads",
-    "shards",
-    "batch",
-    "mode",
-    "rate",
+/// The CSV columns before the axis columns.
+const HEAD: [&str; 5] = ["id", "scale", "workload", "lock", "label"];
+/// The CSV columns after the axis columns.
+const TAIL: [&str; 10] = [
     "rep",
     "metric",
     "unit",
@@ -224,6 +153,62 @@ const CSV_COLUMNS: [&str; 20] = [
     "total_ops",
     "elapsed_ms",
 ];
+
+/// One value of a report row.
+enum Field<'a> {
+    Text(&'a str),
+    Int(u64),
+    Float(f64),
+}
+
+/// A sample's values in column order, from `workload` on (`id` and
+/// `scale` are the report's).
+fn fields(s: &Sample) -> Vec<Field<'_>> {
+    let mut fields = vec![
+        Field::Text(&s.workload),
+        Field::Text(&s.lock),
+        Field::Text(&s.label),
+    ];
+    for axis in Axis::ALL {
+        if axis == Axis::Rate {
+            fields.push(Field::Text(s.mode()));
+        }
+        fields.push(Field::Int(s.point[axis]));
+    }
+    fields.extend([
+        Field::Int(s.rep as u64),
+        Field::Text(&s.metric),
+        Field::Text(&s.unit),
+        Field::Float(s.value),
+        Field::Float(s.p50_us),
+        Field::Float(s.p99_us),
+        Field::Float(s.p999_us),
+        Field::Float(s.queue_depth),
+        Field::Int(s.total_ops),
+        Field::Float(s.elapsed_ms),
+    ]);
+    fields
+}
+
+/// Parses field `at` of a CSV line (`line` for the error).
+fn parse_field<T: FromStr>(fields: &[&str], at: usize, line: usize) -> Result<T, ExperimentError> {
+    fields[at].parse().map_err(|_| ExperimentError::Parse {
+        line,
+        message: format!("{} {:?} is not a number", csv_columns()[at], fields[at]),
+    })
+}
+
+/// The CSV column order (also the JSON field order of each sample): each
+/// axis's column, the rate's preceded by the load `mode` it implies.
+fn csv_columns() -> Vec<&'static str> {
+    let axes = Axis::ALL.into_iter().flat_map(|a| {
+        (a == Axis::Rate)
+            .then_some("mode")
+            .into_iter()
+            .chain([a.name()])
+    });
+    HEAD.into_iter().chain(axes).chain(TAIL).collect()
+}
 
 /// A completed experiment: every raw [`Sample`] plus the identifying
 /// metadata. Serializes losslessly to CSV (modulo the display title) and to
@@ -265,7 +250,7 @@ impl RunReport {
         let (metric, unit) = (first.metric.clone(), first.unit.clone());
         let mut locks: Vec<String> = Vec::new();
         let mut labels: Vec<String> = Vec::new();
-        let mut points: Vec<(usize, usize, usize, u64)> = Vec::new();
+        let mut points: Vec<GridPoint> = Vec::new();
         for s in &samples {
             if !locks.contains(&s.lock) {
                 locks.push(s.lock.clone());
@@ -279,26 +264,20 @@ impl RunReport {
                     labels.push(s.label.clone());
                 }
             }
-            let point = (s.threads, s.shards, s.batch, s.rate_per_sec);
-            if !points.contains(&point) {
-                points.push(point);
+            if !points.contains(&s.point) {
+                points.push(s.point);
             }
         }
         points.sort_unstable();
         let rows = points
-            .iter()
-            .map(|&(t, shards, batch, rate)| {
+            .into_iter()
+            .map(|point| {
                 let values = locks
                     .iter()
                     .map(|lock| {
                         let (mut sum, mut n) = (0.0, 0u32);
                         for s in &samples {
-                            if s.threads == t
-                                && s.shards == shards
-                                && s.batch == batch
-                                && s.rate_per_sec == rate
-                                && &s.lock == lock
-                            {
+                            if s.point == point && &s.lock == lock {
                                 sum += s.value;
                                 n += 1;
                             }
@@ -310,13 +289,7 @@ impl RunReport {
                         }
                     })
                     .collect();
-                SweepRow {
-                    threads: t,
-                    shards,
-                    batch,
-                    rate_per_sec: rate,
-                    values,
-                }
+                SweepRow { point, values }
             })
             .collect();
         Some(SweepResult {
@@ -339,33 +312,18 @@ impl RunReport {
     /// registry names never contain commas); hand-built [`Sample`]s must
     /// uphold it themselves.
     pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&CSV_COLUMNS.join(","));
+        let mut out = csv_columns().join(",");
         out.push('\n');
         for s in &self.samples {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-                self.id,
-                self.scale,
-                s.workload,
-                s.lock,
-                s.label,
-                s.threads,
-                s.shards,
-                s.batch,
-                s.mode,
-                s.rate_per_sec,
-                s.rep,
-                s.metric,
-                s.unit,
-                s.value,
-                s.p50_us,
-                s.p99_us,
-                s.p999_us,
-                s.queue_depth,
-                s.total_ops,
-                s.elapsed_ms,
-            ));
+            let _ = write!(out, "{},{}", self.id, self.scale);
+            for field in fields(s) {
+                let _ = match field {
+                    Field::Text(text) => write!(out, ",{text}"),
+                    Field::Int(n) => write!(out, ",{n}"),
+                    Field::Float(v) => write!(out, ",{v}"),
+                };
+            }
+            out.push('\n');
         }
         out
     }
@@ -374,12 +332,13 @@ impl RunReport {
     ///
     /// The display title is not stored in the CSV; it is restored as the id.
     pub fn from_csv(text: &str) -> Result<RunReport, ExperimentError> {
+        let columns = csv_columns();
         let mut lines = text.lines().enumerate();
         let (_, header) = lines.next().ok_or(ExperimentError::Parse {
             line: 0,
             message: "empty file".to_string(),
         })?;
-        if header.split(',').map(str::trim).ne(CSV_COLUMNS) {
+        if header.split(',').map(str::trim).ne(columns.iter().copied()) {
             return Err(ExperimentError::Parse {
                 line: 1,
                 message: format!("unexpected header {header:?}"),
@@ -391,29 +350,34 @@ impl RunReport {
             if line.trim().is_empty() {
                 continue;
             }
+            let bad = |message: String| ExperimentError::Parse {
+                line: line_no,
+                message,
+            };
             let fields: Vec<&str> = line.split(',').collect();
-            if fields.len() != CSV_COLUMNS.len() {
-                return Err(ExperimentError::Parse {
-                    line: line_no,
-                    message: format!(
-                        "expected {} fields, got {}",
-                        CSV_COLUMNS.len(),
-                        fields.len()
-                    ),
-                });
+            if fields.len() != columns.len() {
+                return Err(bad(format!(
+                    "expected {} fields, got {}",
+                    columns.len(),
+                    fields.len()
+                )));
             }
-            let num = |i: usize, what: &str| -> Result<f64, ExperimentError> {
-                fields[i].parse().map_err(|_| ExperimentError::Parse {
-                    line: line_no,
-                    message: format!("{what} {:?} is not a number", fields[i]),
-                })
+            let mut at = HEAD.len();
+            let mut next = || {
+                at += 1;
+                at - 1
             };
-            let int = |i: usize, what: &str| -> Result<u64, ExperimentError> {
-                fields[i].parse().map_err(|_| ExperimentError::Parse {
-                    line: line_no,
-                    message: format!("{what} {:?} is not an integer", fields[i]),
-                })
-            };
+            let mut point = GridPoint::closed(0);
+            for axis in Axis::ALL {
+                let mode = (axis == Axis::Rate).then(|| fields[next()]);
+                point[axis] = parse_field(&fields, next(), line_no)?;
+                if let Some(mode) = mode.filter(|&m| m != point.mode(Default::default()).name()) {
+                    return Err(bad(format!(
+                        "mode {mode:?} contradicts rate {}",
+                        point[axis]
+                    )));
+                }
+            }
             let report = report.get_or_insert_with(|| RunReport {
                 id: fields[0].to_string(),
                 title: fields[0].to_string(),
@@ -424,21 +388,17 @@ impl RunReport {
                 workload: fields[2].to_string(),
                 lock: fields[3].to_string(),
                 label: fields[4].to_string(),
-                threads: int(5, "threads")? as usize,
-                shards: int(6, "shards")? as usize,
-                batch: int(7, "batch")? as usize,
-                mode: fields[8].to_string(),
-                rate_per_sec: int(9, "rate")?,
-                rep: int(10, "rep")? as usize,
-                metric: fields[11].to_string(),
-                unit: fields[12].to_string(),
-                value: num(13, "value")?,
-                p50_us: num(14, "p50_us")?,
-                p99_us: num(15, "p99_us")?,
-                p999_us: num(16, "p999_us")?,
-                queue_depth: num(17, "queue_depth")?,
-                total_ops: int(18, "total_ops")?,
-                elapsed_ms: num(19, "elapsed_ms")?,
+                point,
+                rep: parse_field(&fields, next(), line_no)?,
+                metric: fields[next()].to_string(),
+                unit: fields[next()].to_string(),
+                value: parse_field(&fields, next(), line_no)?,
+                p50_us: parse_field(&fields, next(), line_no)?,
+                p99_us: parse_field(&fields, next(), line_no)?,
+                p999_us: parse_field(&fields, next(), line_no)?,
+                queue_depth: parse_field(&fields, next(), line_no)?,
+                total_ops: parse_field(&fields, next(), line_no)?,
+                elapsed_ms: parse_field(&fields, next(), line_no)?,
             });
         }
         report.ok_or(ExperimentError::Parse {
@@ -472,41 +432,26 @@ impl RunReport {
                 "null".to_string()
             }
         }
-        let mut out = String::new();
-        out.push_str(&format!(
+        let mut out = format!(
             "{{\n  \"id\": \"{}\",\n  \"title\": \"{}\",\n  \"scale\": \"{}\",\n  \"samples\": [\n",
             esc(&self.id),
             esc(&self.title),
             esc(&self.scale)
-        ));
+        );
+        // Every column but `id` and `scale`, which head the file.
+        let names = &csv_columns()[2..];
         for (i, s) in self.samples.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"workload\": \"{}\", \"lock\": \"{}\", \"label\": \"{}\", \
-                 \"threads\": {}, \"shards\": {}, \"batch\": {}, \
-                 \"mode\": \"{}\", \"rate\": {}, \"rep\": {}, \
-                 \"metric\": \"{}\", \"unit\": \"{}\", \"value\": {}, \
-                 \"p50_us\": {}, \"p99_us\": {}, \"p999_us\": {}, \
-                 \"queue_depth\": {}, \"total_ops\": {}, \"elapsed_ms\": {}}}{}\n",
-                esc(&s.workload),
-                esc(&s.lock),
-                esc(&s.label),
-                s.threads,
-                s.shards,
-                s.batch,
-                esc(&s.mode),
-                s.rate_per_sec,
-                s.rep,
-                esc(&s.metric),
-                esc(&s.unit),
-                fin(s.value),
-                fin(s.p50_us),
-                fin(s.p99_us),
-                fin(s.p999_us),
-                fin(s.queue_depth),
-                s.total_ops,
-                fin(s.elapsed_ms),
-                if i + 1 == self.samples.len() { "" } else { "," },
-            ));
+            let pairs: Vec<String> = names
+                .iter()
+                .zip(fields(s))
+                .map(|(name, field)| match field {
+                    Field::Text(text) => format!("\"{name}\": \"{}\"", esc(text)),
+                    Field::Int(n) => format!("\"{name}\": {n}"),
+                    Field::Float(v) => format!("\"{name}\": {}", fin(v)),
+                })
+                .collect();
+            let comma = if i + 1 == self.samples.len() { "" } else { "," };
+            let _ = writeln!(out, "    {{{}}}{comma}", pairs.join(", "));
         }
         out.push_str("  ]\n}\n");
         out
@@ -548,11 +493,7 @@ mod tests {
             workload: workload.to_string(),
             lock: lock.to_string(),
             label: lock.to_uppercase(),
-            threads,
-            shards: 1,
-            batch: 0,
-            mode: "closed".to_string(),
-            rate_per_sec: 0,
+            point: GridPoint::closed(threads),
             rep,
             metric: "throughput".to_string(),
             unit: "ops/us".to_string(),
@@ -567,16 +508,16 @@ mod tests {
     }
 
     fn open_sample(lock: &str, rate: u64, value: f64) -> Sample {
+        let base = sample("kvmap", lock, 2, 0, value);
         Sample {
-            mode: "open".to_string(),
-            rate_per_sec: rate,
+            point: base.point.with(Axis::Rate, rate),
             metric: "p99".to_string(),
             unit: "us".to_string(),
             p50_us: value / 2.0,
             p99_us: value,
             p999_us: value * 2.0,
             queue_depth: 3.5,
-            ..sample("kvmap", lock, 2, 0, value)
+            ..base
         }
     }
 
@@ -633,53 +574,54 @@ mod tests {
     #[test]
     fn open_sweeps_key_rows_by_rate_and_render_the_rate_column() {
         let sweep = open_report().sweep_for("kvmap").unwrap();
-        assert!(sweep.has_rates());
+        assert_eq!(sweep.axes(), vec![Axis::Threads, Axis::Rate]);
         // Same thread count, two rates → two rows, ascending by rate.
         assert_eq!(sweep.rows.len(), 2);
-        assert_eq!(sweep.rows[0].rate_per_sec, 1_000);
-        assert_eq!(sweep.rows[1].rate_per_sec, 10_000);
-        assert_eq!(sweep.value_at_rate("mcs", 2, 10_000), Some(40.0));
-        assert_eq!(sweep.value_at_rate("cna", 2, 1_000), Some(8.0));
-        assert!(sweep.value_at_rate("cna", 2, 77).is_none());
+        assert_eq!(sweep.rows[0].point[Axis::Rate], 1_000);
+        assert_eq!(sweep.rows[1].point[Axis::Rate], 10_000);
+        let at = |lock, rate| sweep.value_where(lock, &[(Axis::Threads, 2), (Axis::Rate, rate)]);
+        assert_eq!(at("mcs", 10_000), Some(40.0));
+        assert_eq!(at("cna", 1_000), Some(8.0));
+        assert!(at("cna", 77).is_none());
         let table = sweep.render("open");
         assert!(table.contains("rate/s"), "{table}");
         assert!(table.contains("10000"), "{table}");
         // Closed sweeps keep the historical threads-only table.
         let closed = report().sweep_for("kvmap").unwrap();
-        assert!(!closed.has_rates());
+        assert_eq!(closed.axes(), vec![Axis::Threads]);
         assert!(!closed.render("closed").contains("rate/s"));
     }
 
     #[test]
     fn scale_out_axes_key_rows_and_render_their_columns() {
-        let shard_sample = |shards: usize, value: f64| Sample {
-            shards,
-            ..sample("kvmap", "cna", 8, 0, value)
+        let at = |workload, axis, p, value| {
+            let s = sample(workload, "cna", 8, 0, value);
+            Sample {
+                point: s.point.with(axis, p),
+                ..s
+            }
         };
         let r = RunReport {
             id: "axes".to_string(),
             title: "axes".to_string(),
             scale: "smoke".to_string(),
             samples: vec![
-                shard_sample(1, 2.0),
-                shard_sample(4, 6.0),
-                Sample {
-                    batch: 16,
-                    ..sample("leveldb", "cna", 8, 0, 3.5)
-                },
+                at("kvmap", Axis::Shards, 1, 2.0),
+                at("kvmap", Axis::Shards, 4, 6.0),
+                at("leveldb", Axis::Batch, 16, 3.5),
             ],
         };
         let kv = r.sweep_for("kvmap").unwrap();
-        assert!(kv.has_shards() && !kv.has_batches());
+        assert_eq!(kv.axes(), vec![Axis::Threads, Axis::Shards]);
         assert_eq!(kv.rows.len(), 2, "one row per shard count");
-        assert_eq!(kv.value_at_cell("cna", 8, 4, 0, 0), Some(6.0));
-        assert_eq!(kv.value_at_cell("cna", 8, 1, 0, 0), Some(2.0));
-        assert!(kv.value_at_cell("cna", 8, 2, 0, 0).is_none());
+        assert_eq!(kv.value_where("cna", &[(Axis::Shards, 4)]), Some(6.0));
+        assert_eq!(kv.value_where("cna", &[(Axis::Shards, 1)]), Some(2.0));
+        assert!(kv.value_where("cna", &[(Axis::Shards, 2)]).is_none());
         let table = kv.render("kv");
         assert!(table.contains("shards"), "{table}");
         assert!(!table.contains("batch"), "{table}");
         let ldb = r.sweep_for("leveldb").unwrap();
-        assert!(ldb.has_batches() && !ldb.has_shards());
+        assert_eq!(ldb.axes(), vec![Axis::Threads, Axis::Batch]);
         assert!(ldb.render("ldb").contains("batch"));
         // The unsharded, unbatched report keeps the historical table shape.
         let plain = report().sweep_for("kvmap").unwrap().render("plain");
@@ -708,10 +650,10 @@ mod tests {
     #[test]
     fn csv_round_trips_exactly() {
         let mut axes = report();
+        let s = sample("kvmap", "cna", 4, 0, 7.5);
         axes.samples.push(Sample {
-            shards: 8,
-            batch: 32,
-            ..sample("kvmap", "cna", 4, 0, 7.5)
+            point: s.point.with(Axis::Shards, 8).with(Axis::Batch, 32),
+            ..s
         });
         for original in [report(), open_report(), axes] {
             let parsed = RunReport::from_csv(&original.to_csv()).unwrap();
@@ -752,6 +694,14 @@ mod tests {
         }
         let bad_value = report().to_csv().replace("10.5", "ten-and-a-half");
         assert!(RunReport::from_csv(&bad_value).is_err());
+        // The `mode` column must agree with the rate it tags.
+        let contradiction = open_report().to_csv().replace(",open,", ",closed,");
+        match RunReport::from_csv(&contradiction) {
+            Err(ExperimentError::Parse { message, .. }) => {
+                assert!(message.contains("contradicts rate"), "{message}")
+            }
+            other => panic!("expected parse error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -13,13 +13,15 @@ use registry::LockId;
 use super::load::LoadMode;
 use super::openloop::{offered_schedule, run_wall_clock, OpenLoopSummary};
 use super::report::Sample;
-use super::{ExperimentError, ExperimentSpec, GridPoint, Metric, SimSweep, SubstrateWorkload};
+use super::{
+    Axis, ExperimentError, ExperimentSpec, GridPoint, Metric, SimSweep, SubstrateWorkload,
+};
 use crate::kvmap::run_sharded_kvmap;
 use crate::real::RunConfig;
 use crate::scale::Scale;
 
-/// One experiment back-end: turns a grid cell (lock × thread count × load
-/// mode) of a spec into raw [`Sample`]s, one per repetition (per
+/// One experiment back-end: turns a grid cell (lock × grid point) of a spec
+/// into raw [`Sample`]s, one per repetition (per
 /// sub-benchmark for composite workloads like will-it-scale).
 pub trait Runner {
     /// Back-end name (`substrate` or `sim`), recorded for diagnostics.
@@ -34,8 +36,7 @@ pub trait Runner {
     fn base_threads(&self) -> usize;
 
     /// Runs one cell of the grid: `spec.effective_repetitions()` runs of
-    /// `lock` at the grid coordinate `point` (thread count, load shape, and
-    /// the scale-out axes).
+    /// `lock` at the grid coordinate `point` (a point on every [`Axis`]).
     fn run_cell(
         &self,
         spec: &ExperimentSpec,
@@ -96,11 +97,7 @@ impl CellRun {
             workload: self.workload,
             lock: lock.name().to_string(),
             label: label.to_string(),
-            threads: point.threads,
-            shards: point.shards,
-            batch: point.batch,
-            mode: point.mode.name().to_string(),
-            rate_per_sec: point.mode.rate_per_sec(),
+            point,
             rep,
             metric: spec.metric.name().to_string(),
             unit: spec.metric.unit().to_string(),
@@ -136,13 +133,8 @@ impl Runner for SubstrateRunner {
         lock: LockId,
         point: GridPoint,
     ) -> Result<Vec<Sample>, ExperimentError> {
-        let GridPoint {
-            threads,
-            mode,
-            shards,
-            batch,
-            ..
-        } = point;
+        let (threads, mode) = (point.threads(), point.mode(spec.arrival));
+        let (shards, batch) = (point[Axis::Shards] as usize, point[Axis::Batch] as usize);
         if spec.metric == Metric::LlcMissesPerUs {
             // Wall-clock runs have no cache-event counters; only the
             // simulator can report LLC misses.
@@ -151,13 +143,10 @@ impl Runner for SubstrateRunner {
                 metric: spec.metric.name(),
             });
         }
-        // The group-commit write path drives leveldb open-loop even though
-        // its native readrandom path is closed-only.
-        let open_ok = self.workload.supports_open_loop()
-            || (matches!(self.workload, SubstrateWorkload::Leveldb) && batch > 0);
-        if mode.is_open() && !open_ok {
-            return Err(ExperimentError::UnsupportedLoadMode {
+        if mode.is_open() && !self.workload.supports_open_loop(batch > 0) {
+            return Err(ExperimentError::UnsupportedAxis {
                 workload: self.workload.name().to_string(),
+                axis: Axis::Rate,
             });
         }
         let duration = spec.effective_duration();
@@ -336,7 +325,7 @@ impl Runner for SimRunner<'_> {
         lock: LockId,
         point: GridPoint,
     ) -> Result<Vec<Sample>, ExperimentError> {
-        let GridPoint { threads, mode, .. } = point;
+        let (threads, mode) = (point.threads(), point.mode(spec.arrival));
         let virtual_ms = spec.scale.config().virtual_duration_ms;
         // The schedule ignores the rep so every repetition sees the same
         // offered load; the engine seed varies.
@@ -387,21 +376,8 @@ mod tests {
             .metric(metric)
     }
 
-    fn open(rate: u64) -> LoadMode {
-        LoadMode::Open {
-            rate_per_sec: rate,
-            arrival: Arrival::Poisson,
-        }
-    }
-
     fn open_point(threads: usize, rate: u64) -> GridPoint {
-        GridPoint {
-            threads,
-            mode: open(rate),
-            shards: 1,
-            batch: 0,
-            multiplier: 0,
-        }
+        GridPoint::closed(threads).with(Axis::Rate, rate)
     }
 
     #[test]
@@ -432,10 +408,8 @@ mod tests {
         assert_eq!(samples.len(), 2);
         assert_eq!(samples[0].lock, "cna");
         assert_eq!(samples[0].label, "CNA");
-        assert_eq!(samples[0].mode, "closed");
-        assert_eq!(samples[0].rate_per_sec, 0);
-        assert_eq!(samples[0].shards, 1);
-        assert_eq!(samples[0].batch, 0);
+        assert_eq!(samples[0].mode(), "closed");
+        assert_eq!(samples[0].point, GridPoint::closed(2));
         assert_eq!(samples[0].p99_us, 0.0, "closed runs have no histogram");
         assert_eq!(samples[1].rep, 1);
         assert!(samples.iter().all(|s| s.value > 0.0 && s.total_ops > 0));
@@ -489,8 +463,8 @@ mod tests {
             .unwrap();
         assert_eq!(samples.len(), 1);
         let s = &samples[0];
-        assert_eq!(s.mode, "open");
-        assert_eq!(s.rate_per_sec, 100_000);
+        assert_eq!(s.mode(), "open");
+        assert_eq!(s.point[Axis::Rate], 100_000);
         assert_eq!(s.unit, "us");
         assert_eq!(s.value, s.p99_us, "the p99 metric is the p99 column");
         assert!(s.p50_us > 0.0 && s.p99_us >= s.p50_us && s.p999_us >= s.p99_us);
@@ -512,7 +486,7 @@ mod tests {
         assert_eq!(a[0].value, b[0].value, "sim open loop is deterministic");
         assert!(a[0].p99_us > 0.0);
         assert!(a[0].total_ops >= 64);
-        assert_eq!(a[0].mode, "open");
+        assert_eq!(a[0].mode(), "open");
     }
 
     #[test]
@@ -522,7 +496,13 @@ mod tests {
             .runner()
             .run_cell(&spec, LockId::Cna, open_point(2, 1_000))
             .unwrap_err();
-        assert!(matches!(err, ExperimentError::UnsupportedLoadMode { .. }));
+        assert!(matches!(
+            err,
+            ExperimentError::UnsupportedAxis {
+                axis: Axis::Rate,
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -533,16 +513,10 @@ mod tests {
             .run_cell(
                 &spec,
                 LockId::Mcs,
-                GridPoint {
-                    threads: 2,
-                    mode: LoadMode::Closed,
-                    shards: 4,
-                    batch: 0,
-                    multiplier: 0,
-                },
+                GridPoint::closed(2).with(Axis::Shards, 4),
             )
             .unwrap();
-        assert_eq!(samples[0].shards, 4);
+        assert_eq!(samples[0].point[Axis::Shards], 4);
         assert!(samples[0].value > 0.0 && samples[0].total_ops > 0);
     }
 
@@ -554,16 +528,10 @@ mod tests {
             .run_cell(
                 &spec,
                 LockId::Cna,
-                GridPoint {
-                    threads: 2,
-                    mode: LoadMode::Closed,
-                    shards: 1,
-                    batch: 4,
-                    multiplier: 0,
-                },
+                GridPoint::closed(2).with(Axis::Batch, 4),
             )
             .unwrap();
-        assert_eq!(samples[0].batch, 4);
+        assert_eq!(samples[0].point[Axis::Batch], 4);
         assert!(samples[0].total_ops > 0);
     }
 
@@ -577,18 +545,12 @@ mod tests {
             .run_cell(
                 &spec,
                 LockId::Mcs,
-                GridPoint {
-                    threads: 2,
-                    mode: open(50_000),
-                    shards: 1,
-                    batch: 8,
-                    multiplier: 0,
-                },
+                open_point(2, 50_000).with(Axis::Batch, 8),
             )
             .unwrap();
         let s = &samples[0];
-        assert_eq!(s.mode, "open");
-        assert_eq!(s.batch, 8);
+        assert_eq!(s.mode(), "open");
+        assert_eq!(s.point[Axis::Batch], 8);
         assert!(s.p99_us > 0.0, "batched open loop records sojourn times");
         assert!(s.total_ops >= 64, "at least MIN_REQUESTS served");
     }

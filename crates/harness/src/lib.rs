@@ -11,7 +11,7 @@
 //! The two back-ends:
 //!
 //! * [`real`] — wall-clock, real-thread measurements of the actual lock
-//!   implementations (used by the Criterion latency benchmarks and the
+//!   implementations (used by the repo benchmark and the
 //!   [`experiments::SubstrateRunner`]). On a single-socket build host these
 //!   demonstrate correctness and single-thread behaviour; they cannot show
 //!   NUMA effects.
@@ -32,11 +32,10 @@ pub mod scale;
 pub mod table;
 
 pub use experiments::{
-    parse_batch_list, parse_rate_list, parse_shard_list, parse_thread_list, Arrival, DiffReport,
-    DiffThreshold, ExperimentError, ExperimentSpec, GridPoint, LatencyHistogram, LoadMode,
-    LoadSpec, Metric, RunReport, Sample, SweepResult, WorkloadId,
+    Arrival, Axis, AxisLists, DiffReport, DiffThreshold, ExperimentError, ExperimentSpec,
+    GridPoint, LatencyHistogram, LoadMode, Metric, RunReport, Sample, SweepResult, WorkloadId,
 };
 pub use kvmap::{run_sharded_kvmap, ShardedKvMap};
 pub use real::{run_real_contention, run_real_contention_dyn, RunConfig, RunResult};
 pub use scale::{Scale, ScaleConfig, SubstrateRun};
-pub use table::{experiments_dir, render_table, write_csv, WriteError};
+pub use table::{experiments_dir, render_table, WriteError};

@@ -17,9 +17,8 @@
 //!
 //! One [`RunConfig`] and one worker closure pair drive both modes through
 //! [`run_wall_clock`]; closed-loop is the degenerate arrival process
-//! "re-arrive on completion". Used by the Criterion latency benches, the
-//! examples, the integration tests and the [`SubstrateRunner`]'s kvmap
-//! workload.
+//! "re-arrive on completion". Used by the repo benchmark, the examples, the
+//! integration tests and the [`SubstrateRunner`]'s kvmap workload.
 //!
 //! [`SubstrateRunner`]: crate::experiments::SubstrateRunner
 //! [`request_count`]: crate::experiments::openloop::request_count

@@ -1,11 +1,11 @@
-//! Experiment scale selection (`SCALE=smoke|ci|paper`, `BENCH_SMOKE=1`).
+//! Experiment scale selection (`SCALE=smoke|ci|paper`).
 
 /// How big an experiment run should be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// One tiny iteration per experiment: only checks the bench still runs.
-    /// Selected by `SCALE=smoke` or `BENCH_SMOKE=1`; used by the CI smoke
-    /// step so `cargo bench` can gate pull requests in seconds.
+    /// Selected by `SCALE=smoke`; used by the CI smoke step so `cargo bench`
+    /// can gate pull requests in seconds.
     Smoke,
     /// Quick runs suitable for `cargo bench` on a small host (default).
     Ci,
@@ -14,19 +14,13 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the `SCALE` environment variable (`smoke`, `ci` or `paper`);
-    /// `BENCH_SMOKE=1` forces [`Scale::Smoke`] whatever `SCALE` says.
+    /// Reads the `SCALE` environment variable (`smoke`, `ci` or `paper`;
+    /// [`Scale::Ci`] when unset or unrecognised).
     pub fn from_env() -> Self {
-        if std::env::var_os("BENCH_SMOKE").is_some_and(|v| v != "0") {
-            return Scale::Smoke;
-        }
-        match std::env::var("SCALE")
+        std::env::var("SCALE")
             .ok()
             .and_then(|value| Scale::parse(&value))
-        {
-            Some(scale) => scale,
-            None => Scale::Ci,
-        }
+            .unwrap_or(Scale::Ci)
     }
 
     /// Parses a scale name (`smoke`, `ci`, `paper`/`full`), as used by the
@@ -40,9 +34,8 @@ impl Scale {
         }
     }
 
-    /// Sizing of a short real-thread substrate run (the wall-clock sanity
-    /// checks the figure benches execute next to their simulator sweeps, and
-    /// the `lockbench` workloads).
+    /// Sizing of a short real-thread substrate run (the wall-clock substrate
+    /// runs of the figure table, and the `lockbench` workloads).
     ///
     /// This hoists the per-bench `if smoke { .. } else { .. }` config
     /// branching into one place so every bench agrees on what each scale
@@ -188,7 +181,7 @@ mod tests {
     #[test]
     fn from_env_defaults_to_ci() {
         // Only meaningful when the ambient environment does not override it.
-        if std::env::var("SCALE").is_err() && std::env::var("BENCH_SMOKE").is_err() {
+        if std::env::var("SCALE").is_err() {
             assert_eq!(Scale::from_env(), Scale::Ci);
         }
     }

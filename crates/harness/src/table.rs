@@ -110,27 +110,6 @@ fn workspace_root() -> PathBuf {
         .unwrap_or(cwd)
 }
 
-/// Writes rows as CSV under `target/experiments/<name>.csv`, creating
-/// missing directories, and returns the path. The error is typed (not a
-/// panic or a silent `None`) so CLI callers can turn it into an exit code
-/// while benches may merely warn.
-pub fn write_csv(
-    name: &str,
-    header: &[String],
-    rows: &[Vec<String>],
-) -> Result<PathBuf, WriteError> {
-    let path = experiments_dir().join(format!("{name}.csv"));
-    let mut contents = String::new();
-    contents.push_str(&header.join(","));
-    contents.push('\n');
-    for row in rows {
-        contents.push_str(&row.join(","));
-        contents.push('\n');
-    }
-    write_report_file(&path, &contents)?;
-    Ok(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,12 +137,12 @@ mod tests {
             .join("nested")
             .join("deeper");
         let _ = std::fs::remove_dir_all(&dir);
-        let header = vec!["a".to_string(), "b".to_string()];
-        let rows = vec![vec!["1".to_string(), "2".to_string()]];
         let path = {
             let _guard = EnvGuard::set("EXPERIMENTS_DIR", &dir);
-            write_csv("unit_test_table", &header, &rows).expect("csv written")
+            experiments_dir().join("unit_test_table.csv")
         };
+        write_report_file(&path, "a,b\n1,2\n").expect("csv written");
+        assert!(path.starts_with(&dir));
         let contents = std::fs::read_to_string(&path).unwrap();
         assert_eq!(contents, "a,b\n1,2\n");
         let _ = std::fs::remove_dir_all(&dir);
@@ -174,10 +153,7 @@ mod tests {
         // A file where a directory is needed forces a typed error.
         let base = std::env::temp_dir().join("cna-exp-not-a-dir");
         std::fs::write(&base, "occupied").unwrap();
-        let err = {
-            let _guard = EnvGuard::set("EXPERIMENTS_DIR", base.join("sub"));
-            write_csv("x", &["a".to_string()], &[]).unwrap_err()
-        };
+        let err = write_report_file(&base.join("sub").join("x.csv"), "a\n").unwrap_err();
         assert!(err.to_string().contains("could not write"));
         assert!(err.path.starts_with(&base));
         let _ = std::fs::remove_file(&base);

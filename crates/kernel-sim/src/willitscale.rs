@@ -217,7 +217,7 @@ pub fn run_will_it_scale_dyn(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qspinlock::{CnaQSpinLock, StockQSpinLock};
+    use qspinlock::StockQSpinLock;
 
     fn cfg() -> WisConfig {
         WisConfig {
@@ -252,39 +252,41 @@ mod tests {
         }
     }
 
+    /// The paper's Table 1: the contended spin locks and call sites of
+    /// each benchmark, every pair of which must see acquisitions on both
+    /// the stock and the CNA qspinlock slow path.
     #[test]
-    fn open1_contends_on_fd_table_and_lockref() {
-        let report = run_will_it_scale::<CnaQSpinLock>(WisBenchmark::Open1, &cfg());
-        let locks: std::collections::HashSet<&str> = report
-            .lockstat
-            .rows
-            .iter()
-            .map(|r| r.lock.as_str())
-            .collect();
-        assert!(locks.contains("files_struct.file_lock"));
-        assert!(locks.contains("lockref.lock"));
-    }
-
-    #[test]
-    fn lock2_touches_the_flc_lock_via_posix_lock_inode() {
-        let report = run_will_it_scale::<StockQSpinLock>(WisBenchmark::Lock2, &cfg());
-        assert!(report
-            .lockstat
-            .rows
-            .iter()
-            .any(|r| r.lock == "file_lock_context.flc_lock" && r.call_site == "posix_lock_inode"));
-    }
-
-    #[test]
-    fn table1_call_sites_appear_for_lock1() {
-        let report = run_will_it_scale::<StockQSpinLock>(WisBenchmark::Lock1, &cfg());
-        let sites: std::collections::HashSet<(&str, &str)> = report
-            .lockstat
-            .rows
-            .iter()
-            .map(|r| (r.lock.as_str(), r.call_site.as_str()))
-            .collect();
-        assert!(sites.contains(&("files_struct.file_lock", "__alloc_fd")));
-        assert!(sites.contains(&("files_struct.file_lock", "fcntl_setlk")));
+    fn table1_call_sites_appear_for_every_benchmark() {
+        let table1 = [
+            (WisBenchmark::Lock1, "files_struct.file_lock", "__alloc_fd"),
+            (WisBenchmark::Lock1, "files_struct.file_lock", "fcntl_setlk"),
+            (
+                WisBenchmark::Lock2,
+                "file_lock_context.flc_lock",
+                "posix_lock_inode",
+            ),
+            (WisBenchmark::Open1, "files_struct.file_lock", "__alloc_fd"),
+            (WisBenchmark::Open1, "files_struct.file_lock", "__close_fd"),
+            (WisBenchmark::Open1, "lockref.lock", "dput"),
+            (WisBenchmark::Open1, "lockref.lock", "d_alloc"),
+            (WisBenchmark::Open2, "files_struct.file_lock", "__alloc_fd"),
+            (WisBenchmark::Open2, "files_struct.file_lock", "__close_fd"),
+        ];
+        for id in [registry::LockId::QSpinStock, registry::LockId::QSpinCna] {
+            for bench in WisBenchmark::all() {
+                let report = run_will_it_scale_dyn(id, bench, &cfg());
+                for &(_, lock, site) in table1.iter().filter(|(b, ..)| *b == bench) {
+                    assert!(
+                        report
+                            .lockstat
+                            .rows
+                            .iter()
+                            .any(|r| r.lock == lock && r.call_site == site && r.acquisitions > 0),
+                        "{} on {id}: expected call site {site} on {lock} was not observed",
+                        bench.name()
+                    );
+                }
+            }
+        }
     }
 }

@@ -22,8 +22,8 @@
 //!
 //! The real, atomics-based lock implementations (crates `cna`, `locks`,
 //! `qspinlock`) are validated separately by their own unit/property tests and
-//! by criterion micro-benchmarks; the simulator's policy models mirror their
-//! hand-over logic at the queue level.
+//! timed by the repo benchmark (`benchmark/`); the simulator's policy models
+//! mirror their hand-over logic at the queue level.
 //!
 //! # Example
 //!

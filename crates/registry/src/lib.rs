@@ -4,7 +4,7 @@
 //! (§7 of the paper): one [`LockId`] per evaluated algorithm, a factory that
 //! turns an id into a runtime-dispatched [`DynLock`], and the total mapping
 //! onto the simulator's [`LockAlgorithm`] policy models. The harness, the
-//! kernel substrates, the storage substrates, the figure benches and the
+//! kernel substrates, the storage substrates, the figure table and the
 //! `lockbench` CLI all consume this table, so adding a lock algorithm means
 //! registering it **here, once** — every workload can then drive it by name.
 //!

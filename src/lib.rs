@@ -21,7 +21,7 @@
 //!   kernel substrates of §7.
 //!
 //! See `README.md` for the workspace map, the verify commands and how to
-//! run the examples and figure benches.
+//! run the examples and the figures bench.
 
 pub use cna;
 pub use harness;

@@ -4,7 +4,7 @@
 //! lock-matrix job drive.
 
 use cna_locks::harness::experiments::{
-    Arrival, DiffThreshold, ExperimentSpec, Metric, RunReport, WorkloadId,
+    Arrival, Axis, DiffThreshold, ExperimentSpec, Metric, RunReport, WorkloadId,
 };
 use cna_locks::harness::Scale;
 use cna_locks::registry::LockId;
@@ -123,8 +123,8 @@ fn an_open_loop_grid_runs_both_runners_with_histograms() {
     // 2 workloads × 2 rates × 1 thread count × 2 locks × 1 rep.
     assert_eq!(report.samples.len(), 8);
     for s in &report.samples {
-        assert_eq!(s.mode, "open");
-        assert!(s.rate_per_sec == 50_000 || s.rate_per_sec == 200_000);
+        assert_eq!(s.mode(), "open");
+        assert!([50_000, 200_000].contains(&s.point[Axis::Rate]));
         assert_eq!(s.metric, "p99");
         assert_eq!(s.unit, "us");
         assert_eq!(s.value, s.p99_us, "the p99 metric is the p99 column");
@@ -140,9 +140,10 @@ fn an_open_loop_grid_runs_both_runners_with_histograms() {
     }
     // Each workload aggregates into a rate-keyed sweep.
     for sweep in report.sweeps() {
-        assert!(sweep.has_rates());
+        assert_eq!(sweep.axes(), vec![Axis::Threads, Axis::Rate]);
         assert_eq!(sweep.rows.len(), 2);
-        assert!(sweep.value_at_rate("cna", 2, 50_000).unwrap() > 0.0);
+        let cell = [(Axis::Threads, 2), (Axis::Rate, 50_000)];
+        assert!(sweep.value_where("cna", &cell).unwrap() > 0.0);
         assert!(sweep.render("t").contains("rate/s"));
     }
     // The CSV round-trips the histogram columns exactly.
@@ -163,7 +164,7 @@ fn an_injected_p99_regression_trips_the_diff() {
     let victim = regressed
         .samples
         .iter_mut()
-        .find(|s| s.workload == "kvmap" && s.lock == "cna" && s.rate_per_sec == 200_000)
+        .find(|s| s.workload == "kvmap" && s.lock == "cna" && s.point[Axis::Rate] == 200_000)
         .expect("kvmap/cna@200k cell exists");
     victim.value *= 3.0;
     victim.p99_us *= 3.0;
@@ -172,7 +173,7 @@ fn an_injected_p99_regression_trips_the_diff() {
     let flagged: Vec<_> = diff.regressions().collect();
     assert_eq!(flagged.len(), 1);
     assert_eq!(flagged[0].lock, "cna");
-    assert_eq!(flagged[0].rate_per_sec, 200_000);
+    assert_eq!(flagged[0].point[Axis::Rate], 200_000);
     assert!(diff.render().contains("REGRESSED"));
 
     // A p99 *improvement* must not trip the ratchet.

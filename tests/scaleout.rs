@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use cna_locks::cna::CnaLock;
 use cna_locks::harness::experiments::{
-    Arrival, DiffThreshold, ExperimentSpec, Metric, RunReport, WorkloadId,
+    Arrival, Axis, DiffThreshold, ExperimentSpec, Metric, RunReport, WorkloadId,
 };
 use cna_locks::harness::{Scale, ShardedKvMap};
 use cna_locks::leveldb_lite::Db;
@@ -95,7 +95,7 @@ fn shard_sweep_spec(id: &str) -> ExperimentSpec {
         .locks(vec![LockId::Cna, LockId::Mcs])
         .workload(WorkloadId::KvMap.to_spec())
         .threads(vec![2])
-        .shards(vec![1, 2, 4])
+        .axis(Axis::Shards, vec![1, 2, 4])
         .scale(Scale::Smoke)
         .repetitions(1)
         .duration_ms(4)
@@ -106,7 +106,11 @@ fn shard_axis_sweeps_end_to_end_with_keyed_cells() {
     let report = shard_sweep_spec("itest_shards").run().expect("sweep runs");
     // 3 shard counts × 1 thread count × 2 locks × 1 rep.
     assert_eq!(report.samples.len(), 6);
-    let shard_axis: BTreeSet<usize> = report.samples.iter().map(|s| s.shards).collect();
+    let shard_axis: BTreeSet<u64> = report
+        .samples
+        .iter()
+        .map(|s| s.point[Axis::Shards])
+        .collect();
     assert_eq!(shard_axis, BTreeSet::from([1, 2, 4]));
     assert!(report.samples.iter().all(|s| s.value > 0.0));
 
@@ -116,7 +120,7 @@ fn shard_axis_sweeps_end_to_end_with_keyed_cells() {
 
     // The aggregated sweep keys one row per shard count.
     let sweep = report.sweep_for("kvmap").expect("kvmap sweep");
-    assert!(sweep.has_shards());
+    assert!(sweep.axes().contains(&Axis::Shards));
     assert_eq!(sweep.rows.len(), 3);
     assert!(sweep.render("shards").contains("shards"));
 
@@ -125,7 +129,7 @@ fn shard_axis_sweeps_end_to_end_with_keyed_cells() {
     let clean = report.diff_against(&report, DiffThreshold::default());
     assert!(!clean.has_regressions());
     let mut pruned = report.clone();
-    pruned.samples.retain(|s| s.shards != 4);
+    pruned.samples.retain(|s| s.point[Axis::Shards] != 4);
     let diff = pruned.diff_against(&report, DiffThreshold::default());
     assert!(
         diff.has_regressions(),
@@ -144,7 +148,7 @@ fn batch_axis_sweeps_end_to_end_in_open_loop() {
         .lock(LockId::Cna)
         .workload(WorkloadId::Leveldb.to_spec())
         .threads(vec![2])
-        .batches(vec![1, 8])
+        .axis(Axis::Batch, vec![1, 8])
         .open_rates(vec![50_000], Arrival::Poisson)
         .metric(Metric::P99Sojourn)
         .scale(Scale::Smoke)
@@ -154,11 +158,15 @@ fn batch_axis_sweeps_end_to_end_in_open_loop() {
         .expect("batched open-loop leveldb runs");
     // 2 batch limits × 1 rate × 1 thread count × 1 lock × 1 rep.
     assert_eq!(report.samples.len(), 2);
-    let batch_axis: BTreeSet<usize> = report.samples.iter().map(|s| s.batch).collect();
+    let batch_axis: BTreeSet<u64> = report
+        .samples
+        .iter()
+        .map(|s| s.point[Axis::Batch])
+        .collect();
     assert_eq!(batch_axis, BTreeSet::from([1, 8]));
     for s in &report.samples {
-        assert_eq!(s.mode, "open");
-        assert_eq!(s.rate_per_sec, 50_000);
+        assert_eq!(s.mode(), "open");
+        assert_eq!(s.point[Axis::Rate], 50_000);
         assert!(s.p99_us > 0.0, "open cells carry sojourn histograms");
         assert!(s.total_ops >= 64, "at least MIN_REQUESTS served");
     }
@@ -166,8 +174,8 @@ fn batch_axis_sweeps_end_to_end_in_open_loop() {
     // coverage change, not a silent comparison.
     let mut relabeled = report.clone();
     for s in &mut relabeled.samples {
-        if s.batch == 8 {
-            s.batch = 16;
+        if s.point[Axis::Batch] == 8 {
+            s.point[Axis::Batch] = 16;
         }
     }
     let diff = relabeled.diff_against(&report, DiffThreshold::default());

@@ -34,13 +34,14 @@ impl SourceFile {
     }
 
     /// `true` when this file lives in the ordering-audit scope (the lock
-    /// algorithm crates whose every `Ordering::` use must be justified in
-    /// `docs/orderings.md`).
+    /// algorithm crates, plus leveldb-lite's lock-free memtable, whose every
+    /// `Ordering::` use must be justified in `docs/orderings.md`).
     pub fn in_audit_scope(&self) -> bool {
-        const SCOPES: [&str; 3] = [
+        const SCOPES: [&str; 4] = [
             "crates/locks/src/",
             "crates/core/src/",
             "crates/sync-core/src/",
+            "crates/leveldb-lite/src/memtable.rs",
         ];
         SCOPES.iter().any(|s| self.rel.starts_with(s))
     }
@@ -136,6 +137,10 @@ mod tests {
         let q = load_source("crates/qspinlock/src/lib.rs", "fn x() {}");
         assert!(!q.in_audit_scope());
         assert!(q.in_lock_scope());
+        let m = load_source("crates/leveldb-lite/src/memtable.rs", "fn x() {}");
+        assert!(m.in_audit_scope());
+        let d = load_source("crates/leveldb-lite/src/db.rs", "fn x() {}");
+        assert!(!d.in_audit_scope());
         let b = load_source("crates/bench/src/cli.rs", "fn x() {}");
         assert!(!b.in_audit_scope());
         assert!(!b.in_lock_scope());

@@ -431,12 +431,15 @@ mod tests {
             LoadMode::Closed,
             Duration::from_millis(5),
             |worker| worker,
-            |_worker, request| {
+            |&mut worker, request| {
+                assert_eq!(request % 3, worker, "a worker served another's id");
                 assert!(seen.lock().unwrap().insert(request), "request ids repeat");
             },
         );
         assert_eq!(summary.served_per_worker.len(), 3);
-        assert!(summary.served_per_worker.iter().all(|&n| n > 0));
+        // On a busy host one of three workers may not be scheduled inside a
+        // 5 ms window, so only the total is asserted, not each worker's.
+        assert!(summary.served() > 0, "nothing was served");
         assert_eq!(summary.served(), seen.lock().unwrap().len() as u64);
         assert!(summary.elapsed_ns >= 5_000_000, "runs to the deadline");
         assert_eq!(summary.histogram.count(), 0, "nothing is timed per request");

@@ -137,8 +137,9 @@ pub struct WriteBatchConfig {
     pub duration: Duration,
     /// Number of keys the database is pre-filled with.
     pub prefill_keys: usize,
-    /// Key range the random writes draw from. Kept small (overwrites
-    /// dominate) so the copy-on-write memtable stays bounded over the run.
+    /// Key range the random writes draw from. Equal to `prefill_keys` by
+    /// default, so every write overwrites in place and the memtable keeps
+    /// its size over the run.
     pub key_range: usize,
     /// Most writes one group-commit leader applies per DB-mutex
     /// acquisition; 1 degenerates to a plain put per acquisition.

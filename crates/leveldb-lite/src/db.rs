@@ -1,5 +1,5 @@
-//! The database object: global mutex + versioned memtable snapshot + block
-//! cache, mirroring leveldb's `DBImpl`.
+//! The database object: global mutex + memtable + block cache, mirroring
+//! leveldb's `DBImpl`.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -25,12 +25,11 @@ struct PendingWrite {
 
 /// State protected by the global DB mutex (leveldb's `DBImpl::mutex_`).
 struct VersionState {
-    /// Current memtable snapshot. `Get` clones the `Arc` under the mutex and
-    /// searches outside it, exactly like leveldb's `mem_->Ref()`.
-    memtable: Arc<MemTable>,
     /// Monotonic sequence number, bumped by writes.
     sequence: u64,
-    /// Outstanding snapshot references (the refcount `Get` bumps and drops).
+    /// Gets between their `Ref` and `Unref` (leveldb's `mem_->Ref()`
+    /// count). While one is, a value an overwrite superseded may still be
+    /// read, so commits leave it on the memtable's retire list.
     refs: u64,
 }
 
@@ -55,6 +54,9 @@ where
     L::Node: 'static,
 {
     state: LockMutex<VersionState, L>,
+    /// Written only by [`Db::commit`], under `state`'s lock, so it has one
+    /// writer at a time; `get` searches it outside the lock.
+    memtable: MemTable,
     cache: ShardedLruCache<L>,
     /// Group-commit staging area, mirroring leveldb's `writers_` deque. A
     /// plain std mutex guards only the queue pointers — the measured
@@ -76,10 +78,10 @@ where
     pub fn new(cache_capacity: usize) -> Self {
         Db {
             state: LockMutex::new(VersionState {
-                memtable: Arc::new(MemTable::new()),
                 sequence: 0,
                 refs: 0,
             }),
+            memtable: MemTable::new(),
             cache: ShardedLruCache::new(cache_capacity),
             write_queue: Mutex::new(VecDeque::new()),
             gets: AtomicU64::new(0),
@@ -92,20 +94,15 @@ where
     /// Creates a database pre-filled with `n` sequential keys (`db_bench`'s
     /// `fillseq` step before `readrandom`).
     ///
-    /// The fill builds the memtable directly (no per-key snapshot copies), so
-    /// large fills stay linear; the copy-on-write `put` path is only meant
-    /// for the occasional online write.
+    /// The fill runs before the database is shared, so it goes through the
+    /// memtable's exclusive `put` and takes no lock.
     pub fn prefilled(n: usize, cache_capacity: usize) -> Self {
-        let db = Self::new(cache_capacity);
-        let mut table = MemTable::new();
+        let mut db = Self::new(cache_capacity);
         for i in 0..n {
-            table.put(&Self::bench_key(i), format!("value-{i}").as_bytes());
+            db.memtable
+                .put(&Self::bench_key(i), format!("value-{i}").as_bytes());
         }
-        {
-            let mut guard = db.state.lock();
-            guard.memtable = Arc::new(table);
-            guard.sequence = n as u64;
-        }
+        db.state.get_mut().sequence = n as u64;
         db.puts.store(n as u64, Ordering::Relaxed);
         db
     }
@@ -115,23 +112,34 @@ where
         format!("{i:016}").into_bytes()
     }
 
-    /// Inserts `key → value`.
-    ///
-    /// Writes copy the memtable snapshot (copy-on-write) so that concurrent
-    /// readers keep searching a consistent snapshot without holding the DB
-    /// mutex. This is heavier than leveldb's write path but `readrandom`
-    /// (the benchmarked workload) performs no writes after the fill phase.
+    /// Inserts `key → value`: one DB-mutex acquisition and one in-place
+    /// memtable insert, while concurrent `get`s keep searching.
     pub fn put(&self, key: &[u8], value: &[u8]) {
-        let mut guard = self.state.lock();
-        let mut new_table = MemTable::new();
-        for (k, v) in guard.memtable.iter() {
-            new_table.put(k, v);
-        }
-        new_table.put(key, value);
-        guard.memtable = Arc::new(new_table);
-        guard.sequence += 1;
-        drop(guard);
+        self.commit([(key, value)]);
         self.puts.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Applies `writes` in order under the DB mutex, one O(log n) in-place
+    /// memtable insert each, and returns the sequence number of the first.
+    /// The only write path: [`Db::put`] and the group-commit leader both
+    /// come through here.
+    fn commit<'w>(&self, writes: impl IntoIterator<Item = (&'w [u8], &'w [u8])>) -> u64 {
+        let mut guard = self.state.lock();
+        let first = guard.sequence + 1;
+        for (key, value) in writes {
+            // SAFETY: the DB mutex is held, so this is the memtable's only
+            // writer.
+            unsafe { self.memtable.insert(key, value) };
+            guard.sequence += 1;
+        }
+        if guard.refs == 0 {
+            // SAFETY: the DB mutex is held, so no other writer runs, and no
+            // `get` is between its Ref and Unref, so none can hold a retired
+            // value. A `get` that Refs later does so under this mutex, after
+            // this commit, and reaches only the cells it published.
+            unsafe { self.memtable.reclaim() };
+        }
+        first
     }
 
     /// Inserts `key → value` through the group-commit path, returning the
@@ -190,21 +198,12 @@ where
                     }
                 }
             };
-            // Leader: one DB-mutex acquisition (and one memtable copy)
-            // amortized over the whole batch.
-            let mut guard = self.state.lock();
-            let mut new_table = MemTable::new();
-            for (k, v) in guard.memtable.iter() {
-                new_table.put(k, v);
-            }
-            let base = guard.sequence;
+            // Leader: one DB-mutex acquisition amortized over the whole
+            // batch, applied in queue order.
+            let first = self.commit(batch.iter().map(|w| (&w.key[..], &w.value[..])));
             for (i, write) in batch.iter().enumerate() {
-                new_table.put(&write.key, &write.value);
-                write.seq.store(base + i as u64 + 1, Ordering::Relaxed);
+                write.seq.store(first + i as u64, Ordering::Relaxed);
             }
-            guard.memtable = Arc::new(new_table);
-            guard.sequence = base + batch.len() as u64;
-            drop(guard);
             self.puts.fetch_add(batch.len() as u64, Ordering::Relaxed);
             self.batches.fetch_add(1, Ordering::Relaxed);
             for write in &batch {
@@ -216,18 +215,14 @@ where
     }
 
     /// Reads `key`, following leveldb's `Get` structure: take the DB mutex to
-    /// snapshot the memtable and bump the refcount, search without the mutex,
-    /// then update the block cache (one shard mutex) and drop the reference.
+    /// bump the memtable's refcount, search without the mutex, then update
+    /// the block cache (one shard mutex) and drop the reference.
     pub fn get(&self, key: &[u8]) -> Option<Bytes> {
         // -- critical section 1: the global DB mutex -----------------------
-        let (snapshot, _sequence) = {
-            let mut guard = self.state.lock();
-            guard.refs += 1;
-            (Arc::clone(&guard.memtable), guard.sequence)
-        };
+        self.state.lock().refs += 1;
 
-        // -- search outside the mutex --------------------------------------
-        let result = snapshot.get(key);
+        // -- search outside the mutex, concurrently with a writer -----------
+        let result = self.memtable.get(key);
 
         // -- critical section 2: one LRU cache shard ------------------------
         let cache_key = hash_key(key);
@@ -238,7 +233,7 @@ where
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
 
-        // -- drop the snapshot reference (global mutex again, as in
+        // -- drop the memtable reference (global mutex again, as in
         //    leveldb's `mem->Unref()` under `mutex_`) ------------------------
         {
             let mut guard = self.state.lock();
@@ -251,7 +246,7 @@ where
 
     /// Number of keys currently stored.
     pub fn len(&self) -> usize {
-        self.state.lock().memtable.len()
+        self.memtable.len()
     }
 
     /// `true` when the database holds no keys.
@@ -433,6 +428,41 @@ mod tests {
             "batching can only reduce acquisitions"
         );
         assert_eq!(db.len(), threads * writes_per_thread);
+    }
+
+    #[test]
+    fn single_thread_overwrites_leave_the_retire_list_empty() {
+        let mut db: Db<McsLock> = Db::prefilled(100, 16);
+        for i in 0..1_000 {
+            let key = Db::<McsLock>::bench_key(i % 100);
+            if i % 2 == 0 {
+                db.put(&key, b"plain");
+            } else {
+                db.put_group(&key, b"grouped", 4);
+            }
+            assert_eq!(db.memtable.retired(), 0, "write {i} left a cell behind");
+        }
+        assert_eq!(db.len(), 100);
+        assert_eq!(
+            db.get(&Db::<McsLock>::bench_key(99)).as_deref(),
+            Some(&b"grouped"[..])
+        );
+    }
+
+    #[test]
+    fn a_held_reference_defers_freeing_to_the_next_commit_without_one() {
+        let mut db: Db<McsLock> = Db::prefilled(10, 16);
+        let key = Db::<McsLock>::bench_key(3);
+        // A `get` between its Ref and Unref.
+        db.state.lock().refs += 1;
+        db.put(&key, b"a");
+        db.put(&key, b"b");
+        assert_eq!(db.memtable.retired(), 2);
+        db.state.lock().refs -= 1;
+        db.put(&key, b"c");
+        assert_eq!(db.memtable.retired(), 0);
+        assert_eq!(db.get(&key).as_deref(), Some(&b"c"[..]));
+        assert_eq!(db.len(), 10);
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! What matters for the reproduction is *which locks a `Get` takes and for
 //! how long*, not the SSTable format:
 //!
-//! * every `Get` briefly takes the **global DB mutex** to capture a
-//!   consistent snapshot of the current memtable/version and bump reference
-//!   counts (and drops it again before the actual search);
-//! * the key search runs **outside** the DB mutex against the snapshot;
+//! * every `Get` briefly takes the **global DB mutex** to bump the
+//!   memtable's reference count (and drops it again before the actual
+//!   search), then takes it once more to drop the reference;
+//! * the key search runs **outside** the DB mutex, concurrently with the one
+//!   writer, which inserts into the skiplist in place under the DB mutex;
 //! * a successful read then updates the **sharded LRU block cache**, taking
 //!   the mutex of one shard.
 //!

@@ -74,6 +74,11 @@ fn main() {
             "mcscr",
             suite::audit(&cfg, &suite::raw_lock_scenario::<ModelMcscr>("mcscr", 2, 2)),
         ),
+        // Not a lock: leveldb-lite's skiplist, one writer and one reader.
+        (
+            "memtable",
+            suite::audit(&cfg, &suite::memtable_publish_scenario()),
+        ),
     ] {
         println!("== {name}");
         for v in verdicts {

@@ -1,5 +1,6 @@
 //! The lock scenario suite: ready-made [`Scenario`]s for every generically
-//! wired lock algorithm, plus the ordering-mutation audit.
+//! wired lock algorithm and for leveldb-lite's memtable publish protocol,
+//! plus the ordering-mutation audit.
 //!
 //! Each scenario instantiates the *production lock source* with the
 //! [`ModelAtomics`] family: `k` threads acquire the shared lock, enter a
@@ -9,6 +10,7 @@
 //! another thread still references.
 
 use cna::raw::{AlwaysFlushParams, CnaLock, NeverFlushParams, PaperParams, TunableCnaLock};
+use leveldb_lite::MemTable;
 use locks::{
     CBoMcsLock, CPtlTktLock, CTktTktLock, ClhLock, FissileLock, HboLock, HmcsLock, McsCrLock,
     McsLock, PartitionedTicketLock, TestAndSetLock, TicketLock, TtasBackoffLock,
@@ -187,6 +189,52 @@ pub fn dyn_mcs_pool_scenario(threads: usize) -> Scenario<'static, DynState> {
     .finale(move |s| {
         s.counter
             .read(|c| assert_eq!(*c, threads * 2, "pool handoff lost an update"))
+    })
+}
+
+/// leveldb-lite's memtable under the model family.
+pub type ModelMemTable = MemTable<ModelAtomics>;
+
+/// The memtable's publish protocol: one writer inserts `c` between the
+/// prefilled `b` and `d`, then overwrites it, while one reader searches.
+///
+/// The reader must see `c` absent or with a value the writer wrote, and must
+/// always find `d`. A half-linked `c` shows up as the second failure: its
+/// links are set by `Relaxed` stores before the `Release` publish, so a
+/// reader that reaches `c` without the publish edge may read a link still
+/// null and lose every key behind it. The value cell's bytes are plain
+/// memory the checker does not track (see "Limits of the audit" in
+/// `docs/orderings.md`).
+pub fn memtable_publish_scenario() -> Scenario<'static, ModelMemTable> {
+    Scenario::new("memtable-publish", || {
+        let mut table = ModelMemTable::new_in();
+        table.put(b"b", b"b0");
+        table.put(b"d", b"d0");
+        table
+    })
+    .thread(|table: &ModelMemTable, _| {
+        // SAFETY: this is the scenario's only writer, and nothing reclaims
+        // while the reader runs.
+        unsafe {
+            table.insert(b"c", b"c1");
+            table.insert(b"c", b"c2");
+        }
+    })
+    .thread(|table: &ModelMemTable, _| {
+        let c = table.get(b"c");
+        assert!(
+            matches!(c.as_deref(), None | Some(b"c1") | Some(b"c2")),
+            "reader saw a value nobody wrote: {c:?}"
+        );
+        assert_eq!(
+            table.get(b"d").as_deref(),
+            Some(&b"d0"[..]),
+            "a present key went missing behind a half-linked node"
+        );
+    })
+    .finale(|table| {
+        assert_eq!(table.len(), 3);
+        assert_eq!(table.get(b"c").as_deref(), Some(&b"c2"[..]));
     })
 }
 
@@ -567,6 +615,25 @@ mod tests {
             &raw_lock_scenario::<ModelMcscr>("mcscr", 2, 2),
         );
         r.assert_ok();
+    }
+
+    #[test]
+    fn memtable_readers_never_see_a_half_linked_node_unless_the_publish_is_relaxed() {
+        let clean = explore(&quick("memtable"), &memtable_publish_scenario());
+        clean.assert_ok();
+        assert!(clean.schedules > 1, "explored more than one interleaving");
+        // The last `Release` store in the file is the bottom-up publish.
+        let site = find_site(&clean.sites, "memtable.rs", "store", "Release")
+            .expect("memtable publish store site");
+        let cfg = quick("memtable-mut").with_mutation(Mutation::at(site.file, site.line));
+        let r = explore(&cfg, &memtable_publish_scenario());
+        let v = r.expect_violation();
+        assert!(v.trace.contains("MUTATED->Relaxed"), "{}", v.trace);
+        assert!(
+            matches!(v.violation, Violation::AssertFailed { .. }),
+            "{}",
+            v.trace
+        );
     }
 
     #[test]

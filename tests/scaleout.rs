@@ -1,8 +1,11 @@
 //! End-to-end tests of the scale-out substrates: the sharded kv-map and the
 //! group-commit leveldb write path, both standalone and as sweepable axes
 //! of the experiment API (`lockbench sweep --shards ... / --batch ...`).
+//! Optimisation changes interleavings, so CI also runs this file with
+//! `--release`.
 
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use proptest::prelude::*;
 
@@ -65,6 +68,88 @@ fn concurrent_group_commits_keep_every_write_durable() {
     for i in 0..writers * writes_per_thread {
         let key = Db::<CnaLock>::bench_key(i);
         assert!(db.get(&key).is_some(), "key {i} lost");
+    }
+}
+
+/// Readers search the memtable while the group-commit leader overwrites it
+/// in place: every read finds its key with a value written for that key,
+/// the key count never moves, and each key ends at its highest-sequence
+/// write.
+#[test]
+fn readers_see_whole_values_while_writers_overwrite_in_place() {
+    const KEYS: usize = 256;
+    const WRITERS: usize = 3;
+    const WRITES: usize = 400;
+    let db: Db<CnaLock> = Db::prefilled(KEYS, 64);
+    let done = AtomicBool::new(false);
+    // Every value names its key first: `<key>:<writer>:<write>`.
+    let key_of = |value: &[u8]| -> usize {
+        let text = std::str::from_utf8(value).expect("values are text");
+        match text.strip_prefix("value-") {
+            Some(prefilled) => prefilled.parse().expect("prefilled value"),
+            None => text
+                .split(':')
+                .next()
+                .unwrap()
+                .parse()
+                .expect("written value"),
+        }
+    };
+    let writes: Vec<(usize, Vec<u8>, u64)> = std::thread::scope(|scope| {
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|t| {
+                let db = &db;
+                scope.spawn(move || {
+                    (0..WRITES)
+                        .map(|j| {
+                            let key = (j * 37 + t * 11) % KEYS;
+                            let value = format!("{key}:{t}:{j}").into_bytes();
+                            let seq = db.put_group(&Db::<CnaLock>::bench_key(key), &value, 8);
+                            (key, value, seq)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for r in 0..2 {
+            let (db, done) = (&db, &done);
+            scope.spawn(move || {
+                let mut i = r;
+                while !done.load(Ordering::Acquire) {
+                    let key = i % KEYS;
+                    let value = db
+                        .get(&Db::<CnaLock>::bench_key(key))
+                        .unwrap_or_else(|| panic!("key {key} went missing"));
+                    assert_eq!(key_of(&value), key, "a value written for another key");
+                    assert_eq!(db.len(), KEYS, "overwrites changed the key count");
+                    i += 7;
+                }
+            });
+        }
+        let writes = writers
+            .into_iter()
+            .flat_map(|h| h.join().expect("writer panicked"))
+            .collect();
+        done.store(true, Ordering::Release);
+        writes
+    });
+
+    assert_eq!(db.len(), KEYS);
+    let mut seqs: Vec<u64> = writes.iter().map(|w| w.2).collect();
+    seqs.sort_unstable();
+    seqs.dedup();
+    assert_eq!(seqs.len(), WRITERS * WRITES, "sequence numbers are unique");
+    for key in 0..KEYS {
+        let last = writes
+            .iter()
+            .filter(|w| w.0 == key)
+            .max_by_key(|w| w.2)
+            .map_or_else(|| format!("value-{key}").into_bytes(), |w| w.1.clone());
+        assert_eq!(
+            db.get(&Db::<CnaLock>::bench_key(key)).as_deref(),
+            Some(&last[..]),
+            "key {key} does not hold its highest-sequence write"
+        );
     }
 }
 

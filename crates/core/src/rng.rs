@@ -1,48 +1,33 @@
-//! Lightweight thread-local pseudo-random number generator.
+//! Thread-local draws for CNA's hand-over coin.
 //!
 //! The paper's `keep_lock_local()` draws a pseudo-random number on every
 //! hand-over and keeps the lock on the current socket unless
 //! `rand & THRESHOLD == 0`. The generator therefore sits on the unlock fast
-//! path and must be branch-light and allocation-free; we use the same class
-//! of generator the Linux kernel patch uses (a small xorshift), seeded per
-//! thread from the thread id so different threads do not draw identical
+//! path and must be branch-light and allocation-free. Each thread holds the
+//! workspace's shared generator, [`sync_core::rng::Rng`] (xorshift64*, the
+//! same class of small xorshift the Linux kernel patch uses), seeded with
+//! [`mix64`] of the thread index so different threads do not draw identical
 //! sequences.
 
-use std::cell::Cell;
+use std::cell::RefCell;
+
+use sync_core::rng::{mix64, Rng};
 
 thread_local! {
-    static STATE: Cell<u64> = Cell::new(seed_from_thread());
+    static RNG: RefCell<Rng> =
+        RefCell::new(Rng::new(mix64(numa_topology::current_thread_index() as u64)));
 }
 
-fn seed_from_thread() -> u64 {
-    // Mix the numeric thread id through SplitMix64 so consecutive thread ids
-    // produce uncorrelated streams. Never returns zero (xorshift fixed point).
-    let tid = numa_topology::current_thread_index() as u64;
-    let mut z = tid.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z = z ^ (z >> 31);
-    z | 1
-}
-
-/// Returns the next pseudo-random 64-bit value for the calling thread
-/// (xorshift64).
+/// Returns the next pseudo-random 64-bit value for the calling thread.
 #[inline]
 pub fn pseudo_rand() -> u64 {
-    STATE.with(|state| {
-        let mut x = state.get();
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        state.set(x);
-        x
-    })
+    RNG.with(|rng| rng.borrow_mut().next_u64())
 }
 
 /// Re-seeds the calling thread's generator (used by tests that need
 /// reproducible draws).
 pub fn reseed(seed: u64) {
-    STATE.with(|state| state.set(seed | 1));
+    RNG.with(|rng| *rng.borrow_mut() = Rng::new(seed));
 }
 
 #[cfg(test)]

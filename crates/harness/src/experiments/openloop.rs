@@ -14,9 +14,8 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use rand::{Rng, SeedableRng, SmallRng};
-
 use numa_sim::SimResult;
+use sync_core::rng::Rng;
 
 use super::histogram::LatencyHistogram;
 use super::load::{Arrival, LoadMode};
@@ -39,7 +38,7 @@ pub fn request_count(rate_per_sec: u64, horizon_ns: u64) -> usize {
 
 /// Generates the arrival schedule: `requests` offsets in nanoseconds from
 /// run start, non-decreasing, drawn from `arrival` at `rate_per_sec`.
-/// Deterministic per seed (Poisson uses the offline `rand` shim).
+/// Deterministic per seed.
 pub fn arrival_schedule(
     rate_per_sec: u64,
     arrival: Arrival,
@@ -56,11 +55,11 @@ pub fn arrival_schedule(
             }
         }
         Arrival::Poisson => {
-            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut rng = Rng::new(seed);
             let mut t = 0.0f64;
             for _ in 0..requests {
                 schedule.push(t as u64);
-                let u: f64 = rng.gen();
+                let u = rng.next_f64();
                 // Inverse-CDF exponential draw; 1-u is in (0, 1].
                 t += -(1.0 - u).ln() * mean_gap_ns;
             }

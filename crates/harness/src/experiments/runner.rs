@@ -9,6 +9,7 @@ use kyoto_lite::{wicked_dyn, WickedConfig};
 use leveldb_lite::{readrandom_dyn, writebatch_dyn, Db, ReadRandomConfig, WriteBatchConfig};
 use numa_sim::Simulation;
 use registry::LockId;
+use sync_core::rng::mix64;
 
 use super::load::LoadMode;
 use super::openloop::{offered_schedule, run_wall_clock, OpenLoopSummary};
@@ -282,12 +283,9 @@ fn open_writebatch_dyn(
             duration,
             |t| numa_topology::SocketOverrideGuard::new(t % 2),
             |_socket, request| {
-                // splitmix-style finalizer: a deterministic overwrite key
-                // per request index, independent of which worker serves it.
-                let mut x = request as u64;
-                x ^= x >> 30;
-                x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                x ^= x >> 27;
+                // A deterministic overwrite key per request index,
+                // independent of which worker serves it.
+                let x = mix64(request as u64);
                 let key = Db::<registry::AmbientLock>::bench_key(x as usize % cfg.key_range.max(1));
                 let seq = db.put_group(&key, b"batched-value", batch);
                 debug_assert!(seq > 0, "committed writes carry a sequence");

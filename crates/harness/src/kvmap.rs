@@ -17,6 +17,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use numa_topology::SocketOverrideGuard;
 use registry::LockId;
+use sync_core::rng::mix64;
 use sync_core::DynLockMutex;
 
 use crate::experiments::openloop::run_wall_clock;
@@ -26,16 +27,6 @@ use crate::real::{spin_work, RunConfig, RunResult};
 /// every shard count divides the key space into well-populated shards,
 /// large enough that per-key entries stay cheap.
 pub const KEY_SPACE: u64 = 1024;
-
-/// Finalization step of SplitMix64 — the shard router. A full-avalanche
-/// hash so that sequential keys spread evenly across any shard count.
-#[inline]
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// One shard's protected state: the entries plus an op counter maintained
 /// under the same lock, so `sum(entries) == ops` cross-checks mutual
@@ -77,7 +68,7 @@ impl ShardedKvMap {
 
     /// The shard `key` routes to.
     pub fn shard_of(&self, key: u64) -> usize {
-        (splitmix64(key) % self.shards.len() as u64) as usize
+        (mix64(key) % self.shards.len() as u64) as usize
     }
 
     /// Increments `key` under its shard's lock, spinning `critical_work`
@@ -158,7 +149,7 @@ pub fn run_sharded_kvmap(id: LockId, config: &RunConfig) -> RunResult {
             (socket, (t as u64 + 1) * 0x9E37_79B9)
         },
         |(_socket, seed), request| {
-            map.incr(splitmix64(request as u64) % KEY_SPACE, config.critical_work);
+            map.incr(mix64(request as u64) % KEY_SPACE, config.critical_work);
             spin_work(config.non_critical_work, seed);
         },
     );
@@ -180,17 +171,46 @@ mod tests {
     use crate::experiments::load::Arrival;
     use std::time::Duration;
 
+    /// Shard routing is pinned key by key: the 16-shard route of every key in
+    /// `KEY_SPACE`, one hex digit per key (every digit occurs, so every shard
+    /// is reached). Coarser shard counts that divide 16 follow from it
+    /// (`route % n`).
     #[test]
-    fn keys_route_deterministically_and_cover_all_shards() {
-        let map = ShardedKvMap::new(LockId::Mcs, 4);
-        assert_eq!(map.shard_count(), 4);
-        let mut seen = [false; 4];
-        for key in 0..KEY_SPACE {
-            let s = map.shard_of(key);
-            assert_eq!(s, map.shard_of(key), "routing is a pure function");
-            seen[s] = true;
+    fn keys_route_to_the_golden_shards() {
+        const SIXTEEN: [&str; 16] = [
+            "f1edaa0764ad3fe57324c7a649aac0ea18dbb70c2958367538b8a65c712c71a5",
+            "3194a7ffabb421c3b5c528523662f77c115347c0632c4e79ac1c1e17624b9238",
+            "e53038e21be31c178714f0892470168b06140779dda24210fd4f455f668b6155",
+            "8d4979659c86dc4b009b5e998f71473217dc6f72ff1ab075ec56954b4acde514",
+            "f448b25dd78f33ef04a04c5db1de53037e48d77be588248a761cc85ff54f1734",
+            "0e9ac3f986db704e5fd7e341e0eeacc43789fc29f5403cf68c8328e063b65f50",
+            "322de1dede51045b9ca61198c823da274e8338b7f76ef01c95c50b37a3db12a2",
+            "5729d3e6c9badb44911628b4e523014aa0658d9bf41ee112845f93ea65e73ede",
+            "69aacb28c5c253c8723f89e810de69fd6489eb127a91e937d8fbe427feca5650",
+            "08231347dd9f0b256e604ca6f91d5fd374311dded22bae85715094970f0f44c5",
+            "66b4c42c97b590830ba78a74b60080631411c6d581dc416973a13f81cbf2f8de",
+            "e73959468ebc5acb2326f6feea9ac7673bdaf10d05761f3eb4262e101b306901",
+            "73770700de6f1cf4c6c64d1c6694d99acf57113d373ecdc71826cb42eec3f80f",
+            "c80b8a774cffc2e72b27d0ab55077edeb7e3e664b7ebba45fa2e6ff10ffc2b4d",
+            "1662c089fd030880630ce871a73ccb80a213c3a8def8240566b0333c99551452",
+            "ec8cec338c295b699392a29de29eb586f69c69ec84d863554a1eccfbefc15f2f",
+        ];
+        let routes: Vec<usize> = SIXTEEN
+            .concat()
+            .chars()
+            .map(|c| c.to_digit(16).unwrap() as usize)
+            .collect();
+        assert_eq!(routes.len() as u64, KEY_SPACE);
+        for shards in [1, 4, 16] {
+            let map = ShardedKvMap::new(LockId::Mcs, shards);
+            for (key, route) in routes.iter().enumerate() {
+                assert_eq!(
+                    map.shard_of(key as u64),
+                    route % shards,
+                    "key {key}, {shards} shards"
+                );
+            }
         }
-        assert!(seen.iter().all(|&s| s), "1024 keys must touch all 4 shards");
     }
 
     #[test]
@@ -209,7 +229,7 @@ mod tests {
 
     #[test]
     fn apply_keys_is_shard_count_invariant() {
-        let keys: Vec<u64> = (0..500).map(|i| splitmix64(i) % 64).collect();
+        let keys: Vec<u64> = (0..500).map(|i| mix64(i) % 64).collect();
         let single = ShardedKvMap::new(LockId::Mcs, 1);
         single.apply_keys(&keys, 3, 2);
         let sharded = ShardedKvMap::new(LockId::Mcs, 4);

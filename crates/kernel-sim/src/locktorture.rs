@@ -13,9 +13,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use sync_core::raw::RawLock;
+use sync_core::rng::Rng;
 use sync_core::CachePadded;
 
 /// Configuration of a locktorture run.
@@ -107,7 +106,7 @@ where
             let cfg = config.clone();
             scope.spawn(move || {
                 let _socket = numa_topology::SocketOverrideGuard::new(t % 2);
-                let mut rng = SmallRng::seed_from_u64(0x7047 + t as u64);
+                let mut rng = Rng::new(0x7047 + t as u64);
                 let node = L::Node::default();
                 let mut ops = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -118,7 +117,7 @@ where
                         // Occasional short delay (1/200) and long delay
                         // (1/1000), mirroring locktorture's torture_spin_lock
                         // write delays.
-                        let draw: u32 = rng.gen_range(0..1_000);
+                        let draw = rng.next_below(1_000);
                         if draw < 1 {
                             busy_ns(30_000, &mut rng);
                         } else if draw < 6 {
@@ -185,12 +184,15 @@ pub fn run_locktorture_dyn(id: registry::LockId, config: &LockTortureConfig) -> 
     report
 }
 
-fn busy_ns(ns: u64, rng: &mut SmallRng) {
-    // A rough calibration-free busy wait: a handful of RNG steps per ~25ns.
+fn busy_ns(ns: u64, rng: &mut Rng) {
+    // An uncalibrated busy wait of `ns / 25 + 1` generator steps. A step is
+    // about 1.2 ns on an AMD EPYC core, so the wait is about a twentieth of
+    // `ns`; the delays only need to be rare and long next to the bare
+    // critical section.
     let iters = ns / 25 + 1;
     let mut acc = 0u64;
     for _ in 0..iters {
-        acc = acc.wrapping_add(rng.gen::<u64>());
+        acc = acc.wrapping_add(rng.next_u64());
     }
     std::hint::black_box(acc);
 }

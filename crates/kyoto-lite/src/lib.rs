@@ -16,10 +16,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use sync_core::mutex::LockMutex;
 use sync_core::raw::RawLock;
+use sync_core::rng::Rng;
 use sync_core::CachePadded;
 
 /// The fixed key range the paper uses after modifying `kccachetest`
@@ -43,8 +42,8 @@ pub enum WickedOp {
 
 impl WickedOp {
     /// Draws the next operation of the wicked mix.
-    pub fn draw(rng: &mut impl Rng) -> WickedOp {
-        match rng.gen_range(0..100u32) {
+    pub fn draw(rng: &mut Rng) -> WickedOp {
+        match rng.next_below(100) {
             0..=44 => WickedOp::Get,
             45..=74 => WickedOp::Set,
             75..=86 => WickedOp::Append,
@@ -204,11 +203,11 @@ where
             let cfg = config.clone();
             scope.spawn(move || {
                 let _socket = numa_topology::SocketOverrideGuard::new(t % 2);
-                let mut rng = SmallRng::seed_from_u64(0x4B59 + t as u64);
+                let mut rng = Rng::new(0x4B59 + t as u64);
                 let mut ops = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     let op = WickedOp::draw(&mut rng);
-                    let key = rng.gen_range(0..cfg.key_range.max(1));
+                    let key = rng.next_below(cfg.key_range);
                     db.execute(op, key);
                     ops += 1;
                     if ops.is_multiple_of(32) {
@@ -247,12 +246,10 @@ mod tests {
     use super::*;
     use cna::CnaLock;
     use locks::McsLock;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn wicked_op_mix_covers_all_operations() {
-        let mut rng = SmallRng::seed_from_u64(1);
+        let mut rng = Rng::new(1);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..2_000 {
             seen.insert(format!("{:?}", WickedOp::draw(&mut rng)));

@@ -9,9 +9,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use sync_core::raw::RawLock;
+use sync_core::rng::Rng;
 use sync_core::CachePadded;
 
 use crate::db::Db;
@@ -97,11 +96,11 @@ where
             let cfg = config.clone();
             scope.spawn(move || {
                 let _socket = numa_topology::SocketOverrideGuard::new(t % 2);
-                let mut rng = SmallRng::seed_from_u64(0xDB + t as u64);
+                let mut rng = Rng::new(0xDB + t as u64);
                 let mut ops = 0u64;
                 let mut local_found = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    let key_index = rng.gen_range(0..cfg.key_range.max(1));
+                    let key_index = rng.next_below(cfg.key_range as u64) as usize;
                     let key = Db::<L>::bench_key(key_index);
                     if db.get(&key).is_some() {
                         local_found += 1;
@@ -214,10 +213,10 @@ where
                 let cfg = config.clone();
                 scope.spawn(move || {
                     let _socket = numa_topology::SocketOverrideGuard::new(t % 2);
-                    let mut rng = SmallRng::seed_from_u64(0xDB + t as u64);
+                    let mut rng = Rng::new(0xDB + t as u64);
                     let mut ops = 0u64;
                     while !stop.load(Ordering::Relaxed) {
-                        let key_index = rng.gen_range(0..cfg.key_range.max(1));
+                        let key_index = rng.next_below(cfg.key_range as u64) as usize;
                         let key = Db::<L>::bench_key(key_index);
                         let seq = db.put_group(&key, b"batched-value", cfg.batch);
                         debug_assert!(seq > 0, "committed writes carry a sequence");

@@ -32,6 +32,7 @@ use std::{mem, slice};
 
 use bytes::Bytes;
 use sync_core::atomics::{AtomicCell, Atomics, StdAtomics};
+use sync_core::rng::Rng;
 
 const MAX_HEIGHT: usize = 12;
 
@@ -138,25 +139,17 @@ impl<A: Atomics> Node<A> {
 
 /// What only the writer touches.
 struct Writer {
-    rng_state: u64,
+    rng: Rng,
     /// Superseded value cells a reader may still be reading.
     retired: Vec<*mut Bytes>,
 }
 
 impl Writer {
     fn random_height(&mut self) -> usize {
-        // Classic p = 1/4 geometric height distribution.
-        let mut h = 1;
-        let mut x = self.rng_state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng_state = x;
-        while h < MAX_HEIGHT && (x & 0x3) == 0 {
-            h += 1;
-            x >>= 2;
-        }
-        h
+        // Classic p = 1/4 geometric height distribution: each pair of
+        // leading zero bits adds a level. The top bits are xorshift64*'s
+        // strongest.
+        (1 + self.rng.next_u64().leading_zeros() as usize / 2).min(MAX_HEIGHT)
     }
 }
 
@@ -204,7 +197,7 @@ impl<A: Atomics> MemTable<A> {
             len: A::Usize::new(0),
             approximate_bytes: A::Usize::new(0),
             writer: UnsafeCell::new(Writer {
-                rng_state: 0x1234_5678_9abc_def1,
+                rng: Rng::new(0x1234_5678_9abc_def1),
                 retired: Vec::new(),
             }),
         }

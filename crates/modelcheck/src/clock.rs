@@ -1,5 +1,7 @@
 //! Fixed-size vector clocks for happens-before tracking.
 
+use sync_core::rng::mix64;
+
 /// Maximum number of model threads per execution. Lock scenarios are 2–4
 /// threads; the array stays small enough to copy freely.
 pub const MAX_THREADS: usize = 4;
@@ -34,16 +36,6 @@ impl VClock {
     }
 }
 
-/// A fast 64-bit mixer (splitmix64 finaliser); used for state hashing and the
-/// seeded scheduler tie-breaks. Deterministic by construction.
-#[inline]
-pub fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,12 +54,5 @@ mod tests {
         assert!(c.covers(0, 1));
         assert!(!c.covers(0, 3));
         assert!(c.covers(1, 0));
-    }
-
-    #[test]
-    fn mix64_is_deterministic_and_spreading() {
-        assert_eq!(mix64(1), mix64(1));
-        assert_ne!(mix64(1), mix64(2));
-        assert_ne!(mix64(0), 0);
     }
 }

@@ -28,7 +28,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::panic::Location;
 use std::sync::atomic::Ordering;
 
-use crate::clock::{mix64, VClock, MAX_THREADS};
+use sync_core::rng::mix64;
+
+use crate::clock::{VClock, MAX_THREADS};
 use crate::config::Config;
 use crate::trace::{ordering_name, Event, OpKind};
 use crate::violation::Violation;

@@ -18,10 +18,11 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
+use sync_core::rng::Rng;
+
 use crate::cost::CostModel;
 use crate::lock_model::{Grant, LockAlgorithm, LockModel, Waiter};
 use crate::machine::MachineConfig;
-use crate::rng::SimRng;
 use crate::stats::{LockStats, SimResult};
 use crate::workload::{Step, Workload};
 
@@ -162,7 +163,7 @@ struct ThreadState {
 struct Engine<'a> {
     sim: &'a Simulation,
     arrivals: Arrivals<'a>,
-    rng: SimRng,
+    rng: Rng,
     heap: BinaryHeap<Reverse<Scheduled>>,
     seq: u64,
     locks: Vec<LockState>,
@@ -214,7 +215,7 @@ impl<'a> Engine<'a> {
         Engine {
             sim,
             arrivals,
-            rng: SimRng::new(sim.seed),
+            rng: Rng::new(sim.seed),
             heap: BinaryHeap::new(),
             seq: 0,
             locks,
@@ -318,7 +319,7 @@ impl<'a> Engine<'a> {
     /// Instantiates thread `t`'s next operation from `op_seed`, reusing the
     /// thread's step buffer.
     fn start_op(&mut self, t: usize, op_seed: u64) {
-        let mut rng = SimRng::new(op_seed);
+        let mut rng = Rng::new(op_seed);
         let thread = &mut self.threads[t];
         self.sim
             .workload

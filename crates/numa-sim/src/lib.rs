@@ -49,7 +49,11 @@ pub mod cost;
 pub mod engine;
 pub mod lock_model;
 pub mod machine;
-pub mod rng;
+/// The old path of [`sync_core::rng::Rng`], still imported by the repo
+/// benchmark; workspace code names `sync_core::rng::Rng`.
+pub mod rng {
+    pub use sync_core::rng::Rng as SimRng;
+}
 pub mod stats;
 pub mod workload;
 pub mod workloads;

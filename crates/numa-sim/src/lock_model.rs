@@ -18,8 +18,9 @@
 
 use std::collections::VecDeque;
 
+use sync_core::rng::Rng;
+
 use crate::cost::CostModel;
-use crate::rng::SimRng;
 
 /// A thread waiting for a simulated lock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +54,7 @@ pub trait LockModel: Send {
     /// Picks the next lock holder, or `None` if the policy currently grants
     /// nobody (either no waiters, or — for backoff-style locks — all waiters
     /// are backing off and the lock goes free for a moment).
-    fn pick_next(&mut self, releaser_socket: usize, rng: &mut SimRng) -> Option<Grant>;
+    fn pick_next(&mut self, releaser_socket: usize, rng: &mut Rng) -> Option<Grant>;
 
     /// `true` when at least one thread is waiting.
     fn has_waiters(&self) -> bool;
@@ -229,7 +230,7 @@ impl LockModel for FifoModel {
     fn on_arrival(&mut self, waiter: Waiter) {
         self.queue.push_back(waiter);
     }
-    fn pick_next(&mut self, _releaser_socket: usize, _rng: &mut SimRng) -> Option<Grant> {
+    fn pick_next(&mut self, _releaser_socket: usize, _rng: &mut Rng) -> Option<Grant> {
         self.queue.pop_front().map(|waiter| Grant {
             waiter,
             extra_ns: 0,
@@ -279,7 +280,7 @@ impl LockModel for UnfairModel {
     fn on_arrival(&mut self, waiter: Waiter) {
         self.waiters.push(waiter);
     }
-    fn pick_next(&mut self, releaser_socket: usize, rng: &mut SimRng) -> Option<Grant> {
+    fn pick_next(&mut self, releaser_socket: usize, rng: &mut Rng) -> Option<Grant> {
         if self.waiters.is_empty() {
             return None;
         }
@@ -400,7 +401,7 @@ impl LockModel for CnaModel {
         self.main.push_back(waiter);
     }
 
-    fn pick_next(&mut self, releaser_socket: usize, rng: &mut SimRng) -> Option<Grant> {
+    fn pick_next(&mut self, releaser_socket: usize, rng: &mut Rng) -> Option<Grant> {
         if self.main.is_empty() && self.secondary.is_empty() {
             return None;
         }
@@ -532,7 +533,7 @@ impl LockModel for CohortModel {
         self.per_socket[socket].push_back(waiter);
     }
 
-    fn pick_next(&mut self, releaser_socket: usize, rng: &mut SimRng) -> Option<Grant> {
+    fn pick_next(&mut self, releaser_socket: usize, rng: &mut Rng) -> Option<Grant> {
         if !self.has_waiters() {
             self.owner_socket = None;
             return None;
@@ -643,7 +644,7 @@ impl LockModel for FissileModel {
     fn on_arrival(&mut self, waiter: Waiter) {
         self.queue.push_back(waiter);
     }
-    fn pick_next(&mut self, _releaser_socket: usize, rng: &mut SimRng) -> Option<Grant> {
+    fn pick_next(&mut self, _releaser_socket: usize, rng: &mut Rng) -> Option<Grant> {
         if self.queue.len() > 1 && rng.chance(self.barge_probability) {
             // The newest arrival wins the TS race before the queue head
             // notices the word went free.
@@ -708,7 +709,7 @@ impl LockModel for McscrModel {
             self.passive.push_back(waiter);
         }
     }
-    fn pick_next(&mut self, _releaser_socket: usize, _rng: &mut SimRng) -> Option<Grant> {
+    fn pick_next(&mut self, _releaser_socket: usize, _rng: &mut Rng) -> Option<Grant> {
         let granted = self.active.pop_front().or_else(|| self.passive.pop_front());
         granted.map(|waiter| {
             // Refill the freed active slot from the passive list (FIFO), and
@@ -749,7 +750,7 @@ mod tests {
     #[test]
     fn fifo_grants_in_arrival_order() {
         let mut m = FifoModel::new("MCS");
-        let mut rng = SimRng::new(1);
+        let mut rng = Rng::new(1);
         for i in 0..4 {
             m.on_arrival(waiter(i, i % 2, i as u64));
         }
@@ -763,7 +764,7 @@ mod tests {
     #[test]
     fn cna_prefers_local_waiters_and_parks_remote_ones() {
         let mut m = CnaModel::new("CNA", false, 10);
-        let mut rng = SimRng::new(3);
+        let mut rng = Rng::new(3);
         // Queue: t0(s1), t1(s0), t2(s1), t3(s0); releaser on socket 0.
         m.on_arrival(waiter(0, 1, 0));
         m.on_arrival(waiter(1, 0, 1));
@@ -789,7 +790,7 @@ mod tests {
     #[test]
     fn cna_flush_preserves_overall_order_of_parked_waiters() {
         let mut m = CnaModel::new("CNA", false, 0);
-        let mut rng = SimRng::new(9);
+        let mut rng = Rng::new(9);
         // All remote except one local at the end; after serving the local
         // waiter, the parked remote waiters must come back in FIFO order.
         m.on_arrival(waiter(0, 1, 0));
@@ -803,7 +804,7 @@ mod tests {
     #[test]
     fn cna_opt_skips_restructuring_when_secondary_is_empty() {
         let mut m = CnaModel::new("CNA (opt)", true, 10);
-        let mut rng = SimRng::new(5);
+        let mut rng = Rng::new(5);
         // With shuffle reduction and an empty secondary queue, the immediate
         // (remote) successor is normally granted directly.
         let mut direct = 0;
@@ -827,7 +828,7 @@ mod tests {
     #[test]
     fn cohort_round_robin_respects_budget() {
         let mut m = CohortModel::new("HMCS", 2, 2, GlobalDiscipline::RoundRobin);
-        let mut rng = SimRng::new(2);
+        let mut rng = Rng::new(2);
         // Two waiters per socket; budget 2 forces a rotation after two local
         // grants.
         m.on_arrival(waiter(0, 0, 0));
@@ -843,7 +844,7 @@ mod tests {
     #[test]
     fn unfair_model_can_decline_and_eventually_grants() {
         let mut m = UnfairModel::new("TAS", 4.0, 0.5);
-        let mut rng = SimRng::new(7);
+        let mut rng = Rng::new(7);
         m.on_arrival(waiter(0, 0, 0));
         let mut granted = false;
         for _ in 0..64 {
@@ -859,7 +860,7 @@ mod tests {
     #[test]
     fn mcscr_restricts_spinning_to_the_active_set_but_stays_fifo() {
         let mut m = McscrModel::new("MCSCR", 3, 12);
-        let mut rng = SimRng::new(11);
+        let mut rng = Rng::new(11);
         for i in 0..8 {
             m.on_arrival(waiter(i, i % 2, i as u64));
         }
@@ -879,7 +880,7 @@ mod tests {
     #[test]
     fn fissile_barges_sometimes_but_everyone_is_served() {
         let mut m = FissileModel::new("Fissile", 0.5);
-        let mut rng = SimRng::new(13);
+        let mut rng = Rng::new(13);
         let mut barged = 0;
         for round in 0..200u64 {
             for i in 0..4 {

@@ -8,7 +8,7 @@
 //! instantiates templates with a deterministic RNG, resolving sharded lock
 //! choices and jitter.
 
-use crate::rng::SimRng;
+use sync_core::rng::Rng;
 
 /// A lock (and the data region it protects) in a workload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,7 +123,7 @@ impl Workload {
     }
 
     /// Instantiates one operation for a thread.
-    pub fn generate_op(&self, rng: &mut SimRng) -> Vec<Step> {
+    pub fn generate_op(&self, rng: &mut Rng) -> Vec<Step> {
         let mut steps = Vec::new();
         self.generate_op_into(rng, &mut steps);
         steps
@@ -131,7 +131,7 @@ impl Workload {
 
     /// [`Self::generate_op`] into a caller-owned buffer (cleared first), so a
     /// simulated thread reuses one allocation for all its operations.
-    pub fn generate_op_into(&self, rng: &mut SimRng, steps: &mut Vec<Step>) {
+    pub fn generate_op_into(&self, rng: &mut Rng, steps: &mut Vec<Step>) {
         let total: f64 = self.ops.iter().map(|t| t.weight).sum();
         let mut pick = rng.next_f64() * total;
         let mut template = &self.ops[self.ops.len() - 1];
@@ -146,7 +146,7 @@ impl Workload {
         steps.extend(template.steps.iter().map(|s| self.instantiate(s, rng)));
     }
 
-    fn instantiate(&self, step: &StepTemplate, rng: &mut SimRng) -> Step {
+    fn instantiate(&self, step: &StepTemplate, rng: &mut Rng) -> Step {
         match *step {
             StepTemplate::Think { ns, jitter } => Step::Think {
                 ns: apply_jitter(ns, jitter, rng),
@@ -176,7 +176,7 @@ impl Workload {
     }
 }
 
-fn apply_jitter(ns: u64, jitter: f64, rng: &mut SimRng) -> u64 {
+fn apply_jitter(ns: u64, jitter: f64, rng: &mut Rng) -> u64 {
     if jitter <= 0.0 || ns == 0 {
         return ns;
     }
@@ -255,7 +255,7 @@ mod tests {
     #[test]
     fn generates_steps_from_templates() {
         let w = tiny_workload();
-        let mut rng = SimRng::new(1);
+        let mut rng = Rng::new(1);
         let mut saw_fixed = false;
         let mut saw_sharded = false;
         for _ in 0..100 {
@@ -282,7 +282,7 @@ mod tests {
 
     #[test]
     fn jitter_stays_within_bounds() {
-        let mut rng = SimRng::new(2);
+        let mut rng = Rng::new(2);
         for _ in 0..1_000 {
             let v = apply_jitter(1_000, 0.3, &mut rng);
             assert!((700..=1_300).contains(&v), "v = {v}");
@@ -294,7 +294,7 @@ mod tests {
     #[test]
     fn think_jitter_is_applied() {
         let w = tiny_workload();
-        let mut rng = SimRng::new(3);
+        let mut rng = Rng::new(3);
         let mut distinct = std::collections::HashSet::new();
         for _ in 0..200 {
             if let Some(Step::Think { ns }) = w

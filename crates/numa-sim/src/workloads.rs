@@ -346,7 +346,7 @@ mod tests {
         ] {
             assert!(w.num_locks() >= 1);
             assert!(!w.ops.is_empty());
-            let mut rng = crate::rng::SimRng::new(3);
+            let mut rng = sync_core::rng::Rng::new(3);
             let op = w.generate_op(&mut rng);
             assert!(!op.is_empty());
         }

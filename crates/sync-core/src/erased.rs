@@ -418,6 +418,14 @@ impl fmt::Debug for DynLockGuard<'_> {
 /// The dynamic counterpart of [`LockMutex`](crate::mutex::LockMutex): the
 /// algorithm is fixed per *value* (at construction) instead of per *type*.
 ///
+/// # No poisoning
+///
+/// As with `LockMutex`, a panic while a guard is held does not poison the
+/// mutex: the guard releases the lock on unwind, the next
+/// [`lock`](Self::lock) succeeds (and so does [`try_lock`](Self::try_lock)
+/// where the algorithm has a non-blocking path), and it sees whatever the
+/// critical section wrote before it panicked.
+///
 /// # Examples
 ///
 /// ```

@@ -35,6 +35,7 @@ pub mod mutex;
 pub mod node_pool;
 pub mod padded;
 pub mod raw;
+pub mod rng;
 pub mod spin;
 pub mod spinlock;
 

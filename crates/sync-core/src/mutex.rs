@@ -19,6 +19,15 @@ use crate::raw::{RawLock, RawTryLock};
 /// thread-local free list found by `TypeId` equality, and nothing at all for
 /// algorithms whose node is zero-sized.
 ///
+/// # No poisoning
+///
+/// Unlike `std::sync::Mutex`, a panic while a guard is held does not poison
+/// the mutex. The guard releases the lock as the panic unwinds, the next
+/// [`lock`](Self::lock) or [`try_lock`](Self::try_lock) succeeds, and it sees
+/// whatever the critical section wrote before it panicked. A critical
+/// section that can panic halfway through an update must restore the
+/// invariant itself.
+///
 /// # Examples
 ///
 /// ```

@@ -10,9 +10,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cna_locks::registry::LockId;
+use cna_locks::sync_core::rng::Rng;
 use cna_locks::sync_core::DynLockMutex;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 const KEY_RANGE: u64 = 1024;
 const THREADS: usize = 4;
@@ -34,14 +33,14 @@ fn run(id: LockId) -> (LockId, u64) {
             let total = Arc::clone(&total);
             s.spawn(move || {
                 let _socket = cna_locks::numa_topology::SocketOverrideGuard::new(t % 2);
-                let mut rng = SmallRng::seed_from_u64(t as u64 + 1);
+                let mut rng = Rng::new(t as u64 + 1);
                 let mut ops = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    let key = rng.gen_range(0..KEY_RANGE);
-                    let update: bool = rng.gen_bool(0.2);
+                    let key = rng.next_below(KEY_RANGE);
+                    let update = rng.chance(0.2);
                     let mut guard = map.lock();
                     if update {
-                        if rng.gen_bool(0.5) {
+                        if rng.chance(0.5) {
                             guard.insert(key, ops);
                         } else {
                             guard.remove(&key);

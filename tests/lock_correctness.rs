@@ -2,7 +2,8 @@
 //! exercised through the same safe API under real concurrency, and the
 //! paper's structural claims (lock sizes, single-word state) are checked.
 
-use std::sync::Arc;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use cna_locks::cna::{CnaConfig, CnaLock, CnaMutex};
@@ -121,6 +122,62 @@ fn erased_try_lock_agrees_with_raw_try_lock() {
             assert!(lock.try_lock().is_some(), "{id}: try on a free lock");
         } else {
             assert!(lock.try_lock().is_none(), "{id}: unsupported try");
+        }
+    }
+}
+
+/// Unwinds out of a critical section without running the panic hook, so a
+/// deliberate panic prints nothing.
+fn unwind_quietly() -> ! {
+    resume_unwind(Box::new("panic inside a critical section"))
+}
+
+/// Runs `f` on a fresh thread and returns its result. A lock left held by an
+/// unwound guard would make `f` spin forever, so this fails after a deadline
+/// instead of hanging the suite.
+fn within_deadline<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    let worker = std::thread::spawn(move || tx.send(f()).expect("the test is waiting"));
+    let value = rx
+        .recv_timeout(Duration::from_secs(10))
+        .unwrap_or_else(|_| panic!("{what}: the lock was not released when the guard unwound"));
+    worker.join().expect("the worker sent its value");
+    value
+}
+
+/// No poisoning: a panic while a guard is held releases the lock as the
+/// guard unwinds, the next acquirer proceeds, and it sees the write made
+/// before the panic.
+#[test]
+fn a_panic_in_a_critical_section_releases_the_lock() {
+    let cna = Arc::new(CnaMutex::new(0u64));
+    let unwound = catch_unwind(AssertUnwindSafe(|| {
+        let mut guard = cna.lock();
+        *guard = 7;
+        unwind_quietly();
+    }));
+    assert!(unwound.is_err());
+    let other = Arc::clone(&cna);
+    assert_eq!(within_deadline("CnaMutex", move || *other.lock()), 7);
+    // `CnaLock` has no non-blocking path, so `CnaMutex` has no `try_lock`;
+    // the loop below checks `try_lock` for every id that has one.
+
+    for id in LockId::ALL {
+        let m = Arc::new(DynLockMutex::new(id.build(), 0u64));
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let mut guard = m.lock();
+            *guard = 7;
+            unwind_quietly();
+        }));
+        assert!(unwound.is_err(), "{id}");
+        let other = Arc::clone(&m);
+        assert_eq!(within_deadline(id.name(), move || *other.lock()), 7, "{id}");
+        if id.supports_try_lock() {
+            assert_eq!(
+                m.try_lock().map(|g| *g),
+                Some(7),
+                "{id}: try_lock after the unwind"
+            );
         }
     }
 }

@@ -7,10 +7,10 @@ use cna_locks::kernel_sim::lockstat::LockStatRegistry;
 use cna_locks::leveldb_lite::MemTable;
 use cna_locks::locks::{McsLock, McsNode};
 use cna_locks::numa_sim::lock_model::{LockAlgorithm, Waiter};
-use cna_locks::numa_sim::rng::SimRng;
 use cna_locks::numa_sim::stats::fairness_factor;
 use cna_locks::numa_sim::CostModel;
 use cna_locks::numa_topology::{format_cpulist, parse_cpulist, Placement, Topology};
+use cna_locks::sync_core::rng::Rng;
 use cna_locks::sync_core::RawLock;
 
 proptest! {
@@ -90,7 +90,7 @@ proptest! {
         // 64 CPUs: enough for every generated waiter set, so the
         // oversubscription penalty never perturbs the policy under test.
         let mut model = LockAlgorithm::Cna.build(4, 64, &cost);
-        let mut rng = SimRng::new(99);
+        let mut rng = Rng::new(99);
         for (i, &socket) in sockets.iter().enumerate() {
             model.on_arrival(Waiter { thread: i, socket, arrival_ns: i as u64 });
         }

@@ -12,6 +12,33 @@
 //! * `sec_tail` — meaningful only in the node at the *head* of the secondary
 //!   queue: caches the secondary queue's tail so splicing is O(1).
 //! * `next` — the main- or secondary-queue link, exactly as in MCS.
+//!
+//! # Fast path and slow path
+//!
+//! Like the kernel's `queued_spin_lock` in front of
+//! `queued_spin_lock_slowpath`, each operation has a small inline fast path.
+//! The uncontended acquisition is `next = null`, `socket = -1`, the tail
+//! swap, `spin = 1`; the uncontended release loads `next` and `spin` and
+//! closes the lock with one CAS. Everything else in the release — a failed
+//! close, retargeting the tail at the secondary queue, waiting for a
+//! successor's link and the whole hand-over (shuffle reduction,
+//! `keep_lock_local`, `find_successor`, the splice) — is one out-of-line
+//! function, `cna_unlock_slow`. So CNA's uncontended `lock`+`unlock` runs
+//! MCS's two RMWs and, beyond MCS's work, one store (`socket = -1`) and one
+//! load (`spin` at release): the paper's Fig. 3 l. 8 and Fig. 4 l. 18.
+//!
+//! Who writes each field, and when:
+//!
+//! * `next` and `socket` — the owner resets both before the swap, which
+//!   publishes them. After a contended swap the owner records its socket.
+//!   A successor's `Release` link store sets `next`; a holder moving or
+//!   splicing queues rewrites the `next` of waiters it owns by then.
+//! * `spin` — the owner stores `1` after an uncontended swap, or `0` after a
+//!   contended swap and before its `Release` link store, which publishes it.
+//!   From the link on, only the predecessor writes it (the grant), until
+//!   the owner, now holding the lock, stashes a secondary-queue head in it.
+//! * `sec_tail` — the holder that builds or extends a secondary queue
+//!   stores it in the queue's head node.
 
 use std::marker::PhantomData;
 use std::ptr;
@@ -173,17 +200,18 @@ impl<P: CnaParams, A: Atomics> RawLock for CnaLock<P, A> {
     type Node = CnaNode<A>;
     const NAME: &'static str = P::NAME;
 
+    #[inline]
     unsafe fn lock(&self, node: &CnaNode<A>) {
         // SAFETY: forwarded contract — the caller pins `node` for the whole
         // acquisition.
         unsafe { cna_lock::<A>(&self.tail, node) }
     }
 
+    #[inline]
     unsafe fn unlock(&self, node: &CnaNode<A>) {
-        let cfg = P::config();
         // SAFETY: forwarded contract — `node` is the acquisition's node and
         // the caller holds the lock.
-        unsafe { cna_unlock::<A>(&self.tail, node, &cfg) }
+        unsafe { cna_unlock::<A>(&self.tail, node, P::config()) }
     }
 }
 
@@ -233,22 +261,24 @@ impl<A: Atomics> RawLock for TunableCnaLock<A> {
     type Node = CnaNode<A>;
     const NAME: &'static str = "CNA (tunable)";
 
+    #[inline]
     unsafe fn lock(&self, node: &CnaNode<A>) {
         // SAFETY: forwarded contract.
         unsafe { cna_lock::<A>(&self.tail, node) }
     }
 
+    #[inline]
     unsafe fn unlock(&self, node: &CnaNode<A>) {
         // SAFETY: forwarded contract.
-        unsafe { cna_unlock::<A>(&self.tail, node, &self.config) }
+        unsafe { cna_unlock::<A>(&self.tail, node, self.config) }
     }
 }
 
 /// The paper's `keep_lock_local()`: non-zero (true) keeps the lock on the
 /// current socket, zero (false) flushes the secondary queue.
 #[inline]
-fn keep_lock_local(cfg: &CnaConfig) -> bool {
-    pseudo_rand() & cfg.keep_local_mask != 0
+fn keep_lock_local(keep_local_mask: u64) -> bool {
+    pseudo_rand() & keep_local_mask != 0
 }
 
 /// Acquisition (paper Fig. 3). One atomic instruction: the tail swap.
@@ -257,10 +287,10 @@ fn keep_lock_local(cfg: &CnaConfig) -> bool {
 ///
 /// `node` must stay pinned, unused by any other acquisition, until the
 /// matching [`cna_unlock`] returns.
+#[inline]
 unsafe fn cna_lock<A: Atomics>(tail: &A::Ptr<CnaNode<A>>, me: &CnaNode<A>) {
     me.next.store(ptr::null_mut(), Ordering::Relaxed);
     me.socket.store(SOCKET_UNKNOWN, Ordering::Relaxed);
-    me.spin.store(SPIN_WAITING, Ordering::Relaxed);
 
     let me_ptr = me as *const CnaNode<A> as *mut CnaNode<A>;
     debug_assert!(
@@ -279,9 +309,13 @@ unsafe fn cna_lock<A: Atomics>(tail: &A::Ptr<CnaNode<A>>, me: &CnaNode<A>) {
         return;
     }
 
-    // Contended path only: record our socket (Fig. 3 l. 10).
+    // Contended path only: record our socket (Fig. 3 l. 10) and arm the
+    // spin word. Until the link store below nobody can reach the node; after
+    // it only the predecessor writes `spin`, and the link's `Release` orders
+    // both stores before anything the predecessor does to the node.
     me.socket
         .store(numa_topology::current_socket() as isize, Ordering::Relaxed);
+    me.spin.store(SPIN_WAITING, Ordering::Relaxed);
 
     // SAFETY: `prev` was the queue tail; its owner cannot complete unlock
     // (and therefore cannot reuse or free the node) before observing our
@@ -300,30 +334,65 @@ unsafe fn cna_lock<A: Atomics>(tail: &A::Ptr<CnaNode<A>>, me: &CnaNode<A>) {
     A::fence(Ordering::Acquire);
 }
 
-/// Release (paper Fig. 4).
+/// Release, fast path (paper Fig. 4 l. 18–23): with no successor in either
+/// queue, one CAS closes the lock. Inlined at every call site; anything else
+/// goes to [`cna_unlock_slow`].
 ///
 /// # Safety
 ///
 /// `me` must be the node used for the acquisition being released and the
 /// caller must hold the lock.
-unsafe fn cna_unlock<A: Atomics>(tail: &A::Ptr<CnaNode<A>>, me: &CnaNode<A>, cfg: &CnaConfig) {
+#[inline]
+unsafe fn cna_unlock<A: Atomics>(tail: &A::Ptr<CnaNode<A>>, me: &CnaNode<A>, cfg: CnaConfig) {
     let me_ptr = me as *const CnaNode<A> as *mut CnaNode<A>;
-    let mut next = me.next.load(Ordering::Acquire);
+    let next = me.next.load(Ordering::Acquire);
 
+    // No known successor in the main queue (l. 18) and the secondary queue
+    // empty too: try to close the lock (l. 23).
+    if next.is_null()
+        && me.spin.load(Ordering::Relaxed) == SPIN_GRANTED
+        && tail
+            .compare_exchange(me_ptr, ptr::null_mut(), Ordering::AcqRel, Ordering::Relaxed)
+            .is_ok()
+    {
+        return;
+    }
+    // The configuration goes as scalars: a `CnaConfig` argument is passed
+    // through memory, and the compiler writes it before the branch above.
+    let shuffle_mask = cfg.shuffle_reduction.then_some(cfg.shuffle_mask);
+    // SAFETY: forwarded contract; `next` is the value of `me.next` loaded
+    // above.
+    unsafe { cna_unlock_slow::<A>(tail, me, next, cfg.keep_local_mask, shuffle_mask) }
+}
+
+/// Release, slow path (paper Fig. 4 l. 24–49): everything the fast path
+/// does not finish. It resumes where the fast path stopped — after a failed
+/// close it waits for the link, with a secondary queue it first tries to
+/// retarget the tail — and then runs the hand-over. Out of line so that the
+/// fast path stays small enough to inline; not `#[cold]`, because under
+/// contention it runs on every release. `shuffle_mask` is `None` unless
+/// the §6 shuffle reduction is enabled.
+///
+/// # Safety
+///
+/// As for [`cna_unlock`]; `next` must be the value the fast path loaded
+/// from `me.next`.
+#[inline(never)]
+unsafe fn cna_unlock_slow<A: Atomics>(
+    tail: &A::Ptr<CnaNode<A>>,
+    me: &CnaNode<A>,
+    mut next: *mut CnaNode<A>,
+    keep_local_mask: u64,
+    shuffle_mask: Option<u64>,
+) {
     if next.is_null() {
-        // No known successor in the main queue (Fig. 4 l. 18).
+        // With `spin == GRANTED` the fast path's close CAS failed; only a
+        // non-empty secondary queue is left to try here.
         let spin_val = me.spin.load(Ordering::Relaxed);
-        if spin_val == SPIN_GRANTED {
-            // Secondary queue empty too: try to close the lock (l. 23).
-            if tail
-                .compare_exchange(me_ptr, ptr::null_mut(), Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-            {
-                return;
-            }
-        } else {
+        if spin_val != SPIN_GRANTED {
             // Secondary queue non-empty: try to make it the main queue by
             // pointing the lock tail at its last node (l. 27–32).
+            let me_ptr = me as *const CnaNode<A> as *mut CnaNode<A>;
             let sec_head = spin_val as *mut CnaNode<A>;
             // SAFETY: the secondary head is a waiter parked by a previous
             // hand-over; it cannot proceed (its spin is 0) until we or a
@@ -351,20 +420,19 @@ unsafe fn cna_unlock<A: Atomics>(tail: &A::Ptr<CnaNode<A>>, me: &CnaNode<A>, cfg
     // Shuffle reduction (§6): with the secondary queue empty, hand straight
     // to the immediate successor with high probability, skipping the
     // successor search and any queue restructuring.
-    if cfg.shuffle_reduction
-        && me.spin.load(Ordering::Relaxed) == SPIN_GRANTED
-        && pseudo_rand() & cfg.shuffle_mask != 0
-    {
-        // SAFETY: `next` is a live waiter (it spins until granted).
-        unsafe {
-            (*next).spin.store(SPIN_GRANTED, Ordering::Release);
+    if let Some(mask) = shuffle_mask {
+        if me.spin.load(Ordering::Relaxed) == SPIN_GRANTED && pseudo_rand() & mask != 0 {
+            // SAFETY: `next` is a live waiter (it spins until granted).
+            unsafe {
+                (*next).spin.store(SPIN_GRANTED, Ordering::Release);
+            }
+            return;
         }
-        return;
     }
 
     // Determine the next lock holder (Fig. 4 l. 40–49).
     let mut succ: *mut CnaNode<A> = ptr::null_mut();
-    if keep_lock_local(cfg) {
+    if keep_lock_local(keep_local_mask) {
         // SAFETY: we hold the lock, `next` is the live head of the waiters.
         succ = unsafe { find_successor::<A>(me, next) };
     }

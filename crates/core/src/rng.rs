@@ -2,12 +2,13 @@
 //!
 //! The paper's `keep_lock_local()` draws a pseudo-random number on every
 //! hand-over and keeps the lock on the current socket unless
-//! `rand & THRESHOLD == 0`. The generator therefore sits on the unlock fast
-//! path and must be branch-light and allocation-free. Each thread holds the
-//! workspace's shared generator, [`sync_core::rng::Rng`] (xorshift64*, the
-//! same class of small xorshift the Linux kernel patch uses), seeded with
-//! [`mix64`] of the thread index so different threads do not draw identical
-//! sequences.
+//! `rand & THRESHOLD == 0`. The generator runs only on a hand-over, in the
+//! out-of-line release slow path — an uncontended release never draws — but
+//! under contention that is every release, so it must be branch-light and
+//! allocation-free. Each thread holds the workspace's shared generator,
+//! [`sync_core::rng::Rng`] (xorshift64*, the same class of small xorshift
+//! the Linux kernel patch uses), seeded with [`mix64`] of the thread index
+//! so different threads do not draw identical sequences.
 
 use std::cell::RefCell;
 

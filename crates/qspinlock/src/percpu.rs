@@ -137,14 +137,17 @@ pub fn current_cpu() -> usize {
 ///
 /// # Panics
 ///
-/// Panics when the nesting limit is exceeded (the kernel BUGs likewise).
+/// Panics when the nesting limit is exceeded (the kernel BUGs likewise),
+/// leaving the nesting count as it was, so the CPU's later episodes work.
 pub(crate) fn claim_node(cpu: usize) -> (&'static QsNode, u32) {
     let per_cpu = &table()[cpu];
-    let idx = per_cpu.count.fetch_add(1, Ordering::Relaxed);
+    // Check, then claim: only the owning thread writes `count`.
+    let idx = per_cpu.count.load(Ordering::Relaxed);
     assert!(
         idx < MAX_NESTING,
         "spin-lock nesting deeper than {MAX_NESTING} on cpu {cpu}"
     );
+    per_cpu.count.store(idx + 1, Ordering::Relaxed);
     let tail = crate::word::encode_tail(cpu, idx);
     let node = &per_cpu.nodes[idx];
     node.reset(tail);
@@ -184,6 +187,24 @@ mod tests {
         let (n3, t3) = claim_node(cpu);
         assert_eq!(t3, t1);
         assert!(std::ptr::eq(n3, n1));
+        release_node(cpu);
+    }
+
+    #[test]
+    fn nesting_past_the_limit_panics_and_leaves_the_count_alone() {
+        let cpu = current_cpu();
+        let count = || table()[cpu].count.load(Ordering::Relaxed);
+        for _ in 0..MAX_NESTING {
+            claim_node(cpu);
+        }
+        let overflow = std::panic::catch_unwind(|| claim_node(cpu));
+        assert!(overflow.is_err(), "a fifth nested claim must panic");
+        assert_eq!(count(), MAX_NESTING, "the failed claim took no slot");
+        for _ in 0..MAX_NESTING {
+            release_node(cpu);
+        }
+        let (_, tail) = claim_node(cpu);
+        assert_eq!(crate::word::decode_tail_idx(tail), 0);
         release_node(cpu);
     }
 

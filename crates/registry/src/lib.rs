@@ -242,7 +242,8 @@ impl LockId {
 
     /// Whether the lock's shared state is a single word (or the kernel's
     /// four bytes) independent of the socket count — the paper's compactness
-    /// criterion.
+    /// criterion. A compact lock is stored in place in the [`DynLock`]
+    /// [`build`](Self::build) returns; the others are boxed.
     pub const fn is_compact(self) -> bool {
         !matches!(
             self,
@@ -258,9 +259,11 @@ impl LockId {
     /// smoke matrix (`tests/compactness.rs` asserts this against
     /// [`DynLock::lock_size`] for every registered algorithm).
     ///
-    /// Word-sized locks store `usize`/smaller shared state inline; the
-    /// hierarchical locks count their top-level struct (per-socket state
-    /// behind pointers is extra, which is exactly the paper's point).
+    /// Word-sized locks store `usize`/smaller shared state inline, and a
+    /// [`DynLock`] stores such a lock in place, so that is what it adds to
+    /// the object holding it; the hierarchical locks count their top-level
+    /// struct, which a `DynLock` boxes (per-socket state behind pointers is
+    /// extra, which is exactly the paper's point).
     pub const fn compactness(self) -> usize {
         match self {
             LockId::Tas | LockId::TtasBackoff => 1,

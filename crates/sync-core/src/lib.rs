@@ -41,7 +41,7 @@ pub mod spinlock;
 
 pub use admission::{CullingPolicy, SpinPolicy, SpinThenYieldPolicy, WaitPolicy};
 pub use atomics::{AtomicAdd, AtomicCell, Atomics, StdAtomics};
-pub use erased::{DynLock, DynLockGuard, DynLockMutex, DynMutexGuard, ErasedLock, LockToken};
+pub use erased::{DynLock, DynLockGuard, DynLockMutex, DynMutexGuard, LockToken};
 pub use mutex::{LockGuard, LockMutex};
 pub use padded::CachePadded;
 pub use raw::{RawLock, RawTryLock};

@@ -11,6 +11,7 @@ use cna_locks::locks::{
 };
 use cna_locks::qspinlock::{CnaQSpinLock, StockQSpinLock};
 use cna_locks::registry::{FairnessClass, LockId};
+use cna_locks::sync_core::DynLock;
 
 /// CNA's headline claim: the lock itself is a single word (the tail
 /// pointer), no matter how many sockets the machine has.
@@ -46,6 +47,14 @@ fn queue_lock_baselines_are_one_word() {
 fn hierarchical_locks_are_not_compact() {
     assert!(size_of::<CBoMcsLock>() > size_of::<CnaLock>());
     assert!(size_of::<HmcsLock>() > size_of::<CnaLock>());
+}
+
+/// Through the registry a lock costs its object two words: the vtable
+/// pointer and one word, in which every compact lock is stored in place
+/// (`tests/no_alloc_hot_path.rs` checks that building one allocates nothing).
+#[test]
+fn a_dyn_lock_is_two_words() {
+    assert_eq!(size_of::<DynLock>(), 2 * size_of::<usize>());
 }
 
 /// One pinned `size_of` assertion per registered lock type. This is the

@@ -1,7 +1,8 @@
 //! The safe wrappers promise "no allocation in steady state" (see
 //! `sync_core::node_pool`). This pins it without timing anything: a counting
 //! global allocator, and zero allocations over 1 000 warm acquisitions of
-//! every registered algorithm and of both mutex wrappers.
+//! every registered algorithm and of both mutex wrappers. The same counter
+//! shows which locks a `DynLock` boxes: only those larger than a word.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -70,6 +71,25 @@ fn every_registered_lock_is_allocation_free_once_warm() {
         let lock = id.build();
         let grown = steady_state_allocations(|| drop(lock.lock()));
         assert_eq!(grown, 0, "{}: DynLock::lock allocated", id.name());
+    }
+}
+
+/// A compact lock lives in its `DynLock`, so building one allocates nothing
+/// beyond what the lock's own constructor does; a larger lock is boxed.
+#[test]
+fn the_registry_boxes_only_locks_larger_than_a_word() {
+    for id in LockId::ALL {
+        let before = ALLOCATIONS.with(Cell::get);
+        let lock = std::hint::black_box(id.build());
+        let made = ALLOCATIONS.with(Cell::get) - before;
+        match id {
+            // `ClhLock::with_policy` allocates the dummy queue cell its tail
+            // starts at.
+            LockId::Clh => assert_eq!(made, 1, "clh: only its dummy cell"),
+            _ if id.is_compact() => assert_eq!(made, 0, "{}: boxed", id.name()),
+            _ => assert!(made >= 1, "{}: not boxed", id.name()),
+        }
+        drop(lock);
     }
 }
 

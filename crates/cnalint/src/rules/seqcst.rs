@@ -14,7 +14,7 @@ use crate::scan::Workspace;
 /// Runs R5 over the lock-scope files. Suppression via pragma happens in the
 /// generic pass; this rule just reports every lexical `SeqCst`.
 pub fn run(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
-    for f in ws.files.iter().filter(|f| f.in_lock_scope()) {
+    for f in ws.files.iter().filter(|f| f.in_audit_scope()) {
         let toks = &f.lx.toks;
         for w in toks.windows(4) {
             if w[0].is_ident("Ordering")

@@ -31,7 +31,7 @@ const PACERS: [&str; 12] = [
 
 /// Runs R4 over the lock-scope files.
 pub fn run(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
-    for f in ws.files.iter().filter(|f| f.in_lock_scope()) {
+    for f in ws.files.iter().filter(|f| f.in_audit_scope()) {
         run_file(f, diags);
     }
 }

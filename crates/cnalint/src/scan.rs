@@ -34,22 +34,19 @@ impl SourceFile {
     }
 
     /// `true` when this file lives in the ordering-audit scope (the lock
-    /// algorithm crates, plus leveldb-lite's lock-free memtable, whose every
-    /// `Ordering::` use must be justified in `docs/orderings.md`).
+    /// algorithm crates, the kernel-style qspinlock, and leveldb-lite's
+    /// lock-free memtable, whose every `Ordering::` use must be justified in
+    /// `docs/orderings.md`). The `spin-hint` and `no-seqcst-hotpath` rules
+    /// apply to the same files.
     pub fn in_audit_scope(&self) -> bool {
-        const SCOPES: [&str; 4] = [
+        const SCOPES: [&str; 5] = [
             "crates/locks/src/",
             "crates/core/src/",
+            "crates/qspinlock/src/",
             "crates/sync-core/src/",
             "crates/leveldb-lite/src/memtable.rs",
         ];
         SCOPES.iter().any(|s| self.rel.starts_with(s))
-    }
-
-    /// `true` for the hot-path lock crates where `spin-hint` and
-    /// `no-seqcst-hotpath` apply (audit scope plus the qspinlock port).
-    pub fn in_lock_scope(&self) -> bool {
-        self.in_audit_scope() || self.rel.starts_with("crates/qspinlock/src/")
     }
 }
 
@@ -133,17 +130,14 @@ mod tests {
     fn scope_classification() {
         let f = load_source("crates/locks/src/mcs.rs", "fn x() {}");
         assert!(f.in_audit_scope());
-        assert!(f.in_lock_scope());
         let q = load_source("crates/qspinlock/src/lib.rs", "fn x() {}");
-        assert!(!q.in_audit_scope());
-        assert!(q.in_lock_scope());
+        assert!(q.in_audit_scope());
         let m = load_source("crates/leveldb-lite/src/memtable.rs", "fn x() {}");
         assert!(m.in_audit_scope());
         let d = load_source("crates/leveldb-lite/src/db.rs", "fn x() {}");
         assert!(!d.in_audit_scope());
         let b = load_source("crates/bench/src/cli.rs", "fn x() {}");
         assert!(!b.in_audit_scope());
-        assert!(!b.in_lock_scope());
     }
 
     #[test]

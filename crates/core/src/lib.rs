@@ -23,8 +23,13 @@
 //! ## Crate layout
 //!
 //! * [`raw::CnaLock`] / [`raw::CnaNode`] — the algorithm itself, following
-//!   the paper's Figures 2–5, with the §6 *shuffle reduction* optimisation
-//!   available through [`CnaConfig`].
+//!   the paper's Figures 2–5. Its configurations are the
+//!   [`raw::CnaParams`] types: [`raw::PaperParams`] (the default),
+//!   [`raw::ShuffleReductionParams`] (the §6 *shuffle reduction*, "CNA
+//!   (opt)"), and [`raw::AlwaysFlushParams`] / [`raw::NeverFlushParams`]
+//!   for tests. The hand-over is written once over
+//!   [`raw::CnaQueueNode`], so the kernel-style qspinlock runs the same code
+//!   on its per-CPU nodes.
 //! * [`CnaMutex`] — a safe RAII mutex (`LockMutex<T, CnaLock>`) for client
 //!   code.
 //! * [`rng`] — the lightweight thread-local pseudo-random generator used by
@@ -67,12 +72,10 @@
 
 #![warn(missing_docs)]
 
-pub mod config;
 pub mod mutex;
 pub mod raw;
 pub mod rng;
 
-pub use config::CnaConfig;
 pub use mutex::CnaMutex;
 pub use raw::{CnaLock, CnaNode};
 

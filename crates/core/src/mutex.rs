@@ -2,8 +2,7 @@
 
 use sync_core::mutex::LockMutex;
 
-use crate::config::CnaConfig;
-use crate::raw::{CnaLock, CnaLockOpt, TunableCnaLock};
+use crate::raw::{CnaLock, CnaLockOpt};
 
 /// A mutex protected by the CNA lock with the paper's default parameters.
 ///
@@ -24,27 +23,10 @@ pub type CnaMutex<T> = LockMutex<T, CnaLock>;
 /// A mutex protected by the "CNA (opt)" lock (shuffle reduction enabled).
 pub type CnaMutexOpt<T> = LockMutex<T, CnaLockOpt>;
 
-/// A mutex protected by a run-time configured CNA lock.
-pub type TunableCnaMutex<T> = LockMutex<T, TunableCnaLock>;
-
-/// Builds a [`TunableCnaMutex`] with an explicit configuration.
-///
-/// # Examples
-///
-/// ```
-/// use cna::{mutex::tunable_mutex, CnaConfig};
-///
-/// let m = tunable_mutex(CnaConfig::with_shuffle_reduction(), 0u32);
-/// *m.lock() += 1;
-/// assert_eq!(*m.lock(), 1);
-/// ```
-pub fn tunable_mutex<T>(config: CnaConfig, value: T) -> TunableCnaMutex<T> {
-    LockMutex::with_raw(TunableCnaLock::with_config(config), value)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::raw::NeverFlushParams;
     use std::sync::Arc;
 
     #[test]
@@ -62,9 +44,9 @@ mod tests {
     }
 
     #[test]
-    fn tunable_mutex_uses_configuration() {
-        let m = tunable_mutex(CnaConfig::never_flush(), 0u64);
-        assert_eq!(m.raw().config(), CnaConfig::never_flush());
+    fn parameter_types_configure_the_mutex() {
+        let m: LockMutex<u64, CnaLock<NeverFlushParams>> = LockMutex::new(0);
+        assert_eq!(m.algorithm(), "CNA (never-flush)");
         *m.lock() += 7;
         assert_eq!(*m.lock(), 7);
     }

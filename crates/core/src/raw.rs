@@ -27,6 +27,16 @@
 //! MCS's two RMWs and, beyond MCS's work, one store (`socket = -1`) and one
 //! load (`spin` at release): the paper's Fig. 3 l. 8 and Fig. 4 l. 18.
 //!
+//! # One hand-over for two lock words
+//!
+//! The paper's kernel patch changes only the qspinlock slow path's
+//! hand-over, so the hand-over here is written once, over the
+//! [`CnaQueueNode`] trait: [`hand_over`] (shuffle reduction,
+//! `keep_lock_local`, `find_successor`, the local grant, the splice and the
+//! plain grant) and [`retarget_secondary`], which takes the lock word's own
+//! tail CAS. This lock runs them on [`CnaNode`]; the `qspinlock` crate runs
+//! them on its per-CPU nodes.
+//!
 //! Who writes each field, and when:
 //!
 //! * `next` and `socket` — the owner resets both before the swap, which
@@ -47,7 +57,6 @@ use std::sync::atomic::{AtomicPtr, Ordering};
 use sync_core::atomics::{AtomicCell, Atomics, StdAtomics};
 use sync_core::raw::RawLock;
 
-use crate::config::CnaConfig;
 use crate::rng::pseudo_rand;
 
 /// `spin` value of a waiter that has not been granted the lock yet.
@@ -92,12 +101,59 @@ impl<A: Atomics> CnaNode<A> {
     }
 }
 
+/// A queue node the CNA hand-over can run on: the four fields of the
+/// paper's `cna_node_t`, as cells of one [`Atomics`] family.
+///
+/// [`CnaNode`] implements it, and so does the kernel-style qspinlock's
+/// per-CPU node, whose `locked` word is the `spin` word. The hand-over
+/// ([`hand_over`], [`retarget_secondary`]) is written once over this trait,
+/// so both lock words run the same code.
+pub trait CnaQueueNode: Sized + 'static {
+    /// The atomics family of the node's cells.
+    type A: Atomics;
+    /// The hand-over word: `0` waiting, `1` granted, else the head of the
+    /// secondary queue.
+    fn spin(&self) -> &<Self::A as Atomics>::Usize;
+    /// The waiter's NUMA node, or `-1` when not recorded.
+    fn socket(&self) -> &<Self::A as Atomics>::Isize;
+    /// The secondary queue's tail; valid only in the secondary queue's head.
+    fn sec_tail(&self) -> &<Self::A as Atomics>::Ptr<Self>;
+    /// The main- or secondary-queue link.
+    fn next(&self) -> &<Self::A as Atomics>::Ptr<Self>;
+}
+
+impl<A: Atomics> CnaQueueNode for CnaNode<A> {
+    type A = A;
+
+    #[inline(always)]
+    fn spin(&self) -> &A::Usize {
+        &self.spin
+    }
+
+    #[inline(always)]
+    fn socket(&self) -> &A::Isize {
+        &self.socket
+    }
+
+    #[inline(always)]
+    fn sec_tail(&self) -> &A::Ptr<Self> {
+        &self.sec_tail
+    }
+
+    #[inline(always)]
+    fn next(&self) -> &A::Ptr<Self> {
+        &self.next
+    }
+}
+
 /// Compile-time parameters of a [`CnaLock`].
 ///
 /// Using an (empty) parameter type keeps the lock itself at exactly one word
 /// of memory — the paper's headline property — while still allowing the
-/// shuffle-reduction variant and the test configurations to coexist. For
-/// run-time tunable thresholds (parameter sweeps) use [`TunableCnaLock`].
+/// shuffle-reduction variant and the test configurations to coexist. The
+/// four types below are the configurations; a caller that needs another
+/// threshold declares its own type (the simulator sweeps the threshold in
+/// its own lock model).
 pub trait CnaParams: Send + Sync + 'static {
     /// Display name used in benchmark tables.
     const NAME: &'static str = "CNA";
@@ -107,15 +163,6 @@ pub trait CnaParams: Send + Sync + 'static {
     const SHUFFLE_REDUCTION: bool = false;
     /// Mask of the shuffle-reduction draw (paper `THRESHOLD2`).
     const SHUFFLE_MASK: u64 = crate::THRESHOLD2;
-
-    /// The parameters as a run-time [`CnaConfig`] value.
-    fn config() -> CnaConfig {
-        CnaConfig {
-            keep_local_mask: Self::KEEP_LOCAL_MASK,
-            shuffle_reduction: Self::SHUFFLE_REDUCTION,
-            shuffle_mask: Self::SHUFFLE_MASK,
-        }
-    }
 }
 
 /// The paper's default parameters ("CNA" in the plots).
@@ -211,66 +258,7 @@ impl<P: CnaParams, A: Atomics> RawLock for CnaLock<P, A> {
     unsafe fn unlock(&self, node: &CnaNode<A>) {
         // SAFETY: forwarded contract — `node` is the acquisition's node and
         // the caller holds the lock.
-        unsafe { cna_unlock::<A>(&self.tail, node, P::config()) }
-    }
-}
-
-/// CNA lock with run-time configurable thresholds.
-///
-/// Unlike [`CnaLock`] this occupies more than one word (it carries its
-/// [`CnaConfig`]); it exists for threshold sweeps and ablation benchmarks.
-#[derive(Debug)]
-pub struct TunableCnaLock<A: Atomics = StdAtomics> {
-    tail: A::Ptr<CnaNode<A>>,
-    config: CnaConfig,
-}
-
-impl TunableCnaLock {
-    /// Creates an unlocked lock with the given configuration.
-    pub const fn with_config(config: CnaConfig) -> Self {
-        TunableCnaLock {
-            tail: AtomicPtr::new(ptr::null_mut()),
-            config,
-        }
-    }
-}
-
-impl<A: Atomics> TunableCnaLock<A> {
-    /// Creates an unlocked lock with the given configuration for any atomics
-    /// family.
-    pub fn with_config_in(config: CnaConfig) -> Self {
-        TunableCnaLock {
-            tail: A::Ptr::new(ptr::null_mut()),
-            config,
-        }
-    }
-
-    /// The lock's configuration.
-    pub fn config(&self) -> CnaConfig {
-        self.config
-    }
-}
-
-impl<A: Atomics> Default for TunableCnaLock<A> {
-    fn default() -> Self {
-        Self::with_config_in(CnaConfig::default())
-    }
-}
-
-impl<A: Atomics> RawLock for TunableCnaLock<A> {
-    type Node = CnaNode<A>;
-    const NAME: &'static str = "CNA (tunable)";
-
-    #[inline]
-    unsafe fn lock(&self, node: &CnaNode<A>) {
-        // SAFETY: forwarded contract.
-        unsafe { cna_lock::<A>(&self.tail, node) }
-    }
-
-    #[inline]
-    unsafe fn unlock(&self, node: &CnaNode<A>) {
-        // SAFETY: forwarded contract.
-        unsafe { cna_unlock::<A>(&self.tail, node, self.config) }
+        unsafe { cna_unlock::<P, A>(&self.tail, node) }
     }
 }
 
@@ -343,7 +331,7 @@ unsafe fn cna_lock<A: Atomics>(tail: &A::Ptr<CnaNode<A>>, me: &CnaNode<A>) {
 /// `me` must be the node used for the acquisition being released and the
 /// caller must hold the lock.
 #[inline]
-unsafe fn cna_unlock<A: Atomics>(tail: &A::Ptr<CnaNode<A>>, me: &CnaNode<A>, cfg: CnaConfig) {
+unsafe fn cna_unlock<P: CnaParams, A: Atomics>(tail: &A::Ptr<CnaNode<A>>, me: &CnaNode<A>) {
     let me_ptr = me as *const CnaNode<A> as *mut CnaNode<A>;
     let next = me.next.load(Ordering::Acquire);
 
@@ -357,57 +345,42 @@ unsafe fn cna_unlock<A: Atomics>(tail: &A::Ptr<CnaNode<A>>, me: &CnaNode<A>, cfg
     {
         return;
     }
-    // The configuration goes as scalars: a `CnaConfig` argument is passed
-    // through memory, and the compiler writes it before the branch above.
-    let shuffle_mask = cfg.shuffle_reduction.then_some(cfg.shuffle_mask);
     // SAFETY: forwarded contract; `next` is the value of `me.next` loaded
     // above.
-    unsafe { cna_unlock_slow::<A>(tail, me, next, cfg.keep_local_mask, shuffle_mask) }
+    unsafe { cna_unlock_slow::<P, A>(tail, me, next) }
 }
 
 /// Release, slow path (paper Fig. 4 l. 24–49): everything the fast path
 /// does not finish. It resumes where the fast path stopped — after a failed
 /// close it waits for the link, with a secondary queue it first tries to
-/// retarget the tail — and then runs the hand-over. Out of line so that the
-/// fast path stays small enough to inline; not `#[cold]`, because under
-/// contention it runs on every release. `shuffle_mask` is `None` unless
-/// the §6 shuffle reduction is enabled.
+/// retarget the tail — and then runs the [`hand_over`]. Out of line so that
+/// the fast path stays small enough to inline; not `#[cold]`, because under
+/// contention it runs on every release.
 ///
 /// # Safety
 ///
 /// As for [`cna_unlock`]; `next` must be the value the fast path loaded
 /// from `me.next`.
 #[inline(never)]
-unsafe fn cna_unlock_slow<A: Atomics>(
+unsafe fn cna_unlock_slow<P: CnaParams, A: Atomics>(
     tail: &A::Ptr<CnaNode<A>>,
     me: &CnaNode<A>,
     mut next: *mut CnaNode<A>,
-    keep_local_mask: u64,
-    shuffle_mask: Option<u64>,
 ) {
     if next.is_null() {
         // With `spin == GRANTED` the fast path's close CAS failed; only a
         // non-empty secondary queue is left to try here.
-        let spin_val = me.spin.load(Ordering::Relaxed);
-        if spin_val != SPIN_GRANTED {
-            // Secondary queue non-empty: try to make it the main queue by
-            // pointing the lock tail at its last node (l. 27–32).
-            let me_ptr = me as *const CnaNode<A> as *mut CnaNode<A>;
-            let sec_head = spin_val as *mut CnaNode<A>;
-            // SAFETY: the secondary head is a waiter parked by a previous
-            // hand-over; it cannot proceed (its spin is 0) until we or a
-            // later holder grant it the lock, so the node is alive.
-            let sec_tail = unsafe { (*sec_head).sec_tail.load(Ordering::Relaxed) };
-            if tail
-                .compare_exchange(me_ptr, sec_tail, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-            {
-                // SAFETY: as above; granting the lock to the secondary head.
-                unsafe {
-                    (*sec_head).spin.store(SPIN_GRANTED, Ordering::Release);
-                }
-                return;
-            }
+        let me_ptr = me as *const CnaNode<A> as *mut CnaNode<A>;
+        // SAFETY: we hold the lock; our spin word is GRANTED or carries the
+        // secondary queue's head.
+        let retargeted = unsafe {
+            retarget_secondary(me, |sec_tail| {
+                tail.compare_exchange(me_ptr, sec_tail, Ordering::AcqRel, Ordering::Relaxed)
+                    .is_ok()
+            })
+        };
+        if retargeted {
+            return;
         }
         // The tail moved: some thread is enqueueing behind us. Wait for it to
         // complete the link (l. 36). Relaxed polling is enough here: the
@@ -416,57 +389,111 @@ unsafe fn cna_unlock_slow<A: Atomics>(
         A::spin_until(|| !me.next.load(Ordering::Relaxed).is_null());
         next = me.next.load(Ordering::Acquire);
     }
+    // SAFETY: we hold the lock and `next` is the live, acquired successor.
+    unsafe { hand_over::<P, _>(me, next) }
+}
 
+/// Retargets the lock's tail at the secondary queue (paper Fig. 4
+/// l. 27–32): with no successor linked in the main queue but a non-empty
+/// secondary queue, the secondary queue becomes the main queue and its head
+/// is granted the lock.
+///
+/// `cas(sec_tail)` is the lock word's own tail CAS: it must replace the
+/// holder's tail with `sec_tail` and report success. CNA swings its tail
+/// pointer; the qspinlock stores `LOCKED | sec_tail's encoded tail`.
+/// Returns `false`, having written nothing, when the secondary queue is
+/// empty or the CAS failed (a waiter is enqueueing behind the holder).
+///
+/// # Safety
+///
+/// The caller must hold the lock and own `me`, whose spin word must be
+/// `1` (granted, secondary queue empty) or the secondary queue's head.
+#[inline]
+pub unsafe fn retarget_secondary<N: CnaQueueNode>(
+    me: &N,
+    cas: impl FnOnce(*mut N) -> bool,
+) -> bool {
+    let spin_val = me.spin().load(Ordering::Relaxed);
+    if spin_val == SPIN_GRANTED {
+        return false;
+    }
+    let sec_head = spin_val as *mut N;
+    // SAFETY: the secondary head is a waiter parked by a previous hand-over;
+    // it cannot proceed (its spin is 0) until we or a later holder grant it
+    // the lock, so the node is alive.
+    let sec_tail = unsafe { (*sec_head).sec_tail().load(Ordering::Relaxed) };
+    if !cas(sec_tail) {
+        return false;
+    }
+    // SAFETY: as above; granting the lock to the secondary head.
+    unsafe {
+        (*sec_head).spin().store(SPIN_GRANTED, Ordering::Release);
+    }
+    true
+}
+
+/// The hand-over (paper Fig. 4 l. 38–49, with the §6 shuffle reduction when
+/// `P` enables it): picks the next holder among the waiters and grants it
+/// the lock.
+///
+/// # Safety
+///
+/// The caller must hold the lock and own `me`, whose spin word must be `1`
+/// or the secondary queue's head; `next` must be the (non-null, acquired)
+/// value of `me.next`.
+#[inline]
+pub unsafe fn hand_over<P: CnaParams, N: CnaQueueNode>(me: &N, next: *mut N) {
     // Shuffle reduction (§6): with the secondary queue empty, hand straight
     // to the immediate successor with high probability, skipping the
     // successor search and any queue restructuring.
-    if let Some(mask) = shuffle_mask {
-        if me.spin.load(Ordering::Relaxed) == SPIN_GRANTED && pseudo_rand() & mask != 0 {
-            // SAFETY: `next` is a live waiter (it spins until granted).
-            unsafe {
-                (*next).spin.store(SPIN_GRANTED, Ordering::Release);
-            }
-            return;
+    if P::SHUFFLE_REDUCTION
+        && me.spin().load(Ordering::Relaxed) == SPIN_GRANTED
+        && pseudo_rand() & P::SHUFFLE_MASK != 0
+    {
+        // SAFETY: `next` is a live waiter (it spins until granted).
+        unsafe {
+            (*next).spin().store(SPIN_GRANTED, Ordering::Release);
         }
+        return;
     }
 
     // Determine the next lock holder (Fig. 4 l. 40–49).
-    let mut succ: *mut CnaNode<A> = ptr::null_mut();
-    if keep_lock_local(keep_local_mask) {
+    let mut succ: *mut N = ptr::null_mut();
+    if keep_lock_local(P::KEEP_LOCAL_MASK) {
         // SAFETY: we hold the lock, `next` is the live head of the waiters.
-        succ = unsafe { find_successor::<A>(me, next) };
+        succ = unsafe { find_successor(me, next) };
     }
 
     if !succ.is_null() {
         // Same-socket successor found: pass the lock together with the
         // current secondary-queue head (or 1 when it is empty). `me.spin` was
         // possibly updated by `find_successor`.
-        let handoff = me.spin.load(Ordering::Relaxed);
+        let handoff = me.spin().load(Ordering::Relaxed);
         debug_assert_ne!(handoff, SPIN_WAITING);
         // SAFETY: `succ` is a live waiter on our socket.
         unsafe {
-            (*succ).spin.store(handoff, Ordering::Release);
+            (*succ).spin().store(handoff, Ordering::Release);
         }
         return;
     }
 
-    let spin_val = me.spin.load(Ordering::Relaxed);
+    let spin_val = me.spin().load(Ordering::Relaxed);
     if spin_val > SPIN_GRANTED {
         // No local successor but the secondary queue is non-empty: splice the
         // secondary queue in front of our main-queue successor and grant the
         // lock to its head (l. 44–46).
-        let sec_head = spin_val as *mut CnaNode<A>;
+        let sec_head = spin_val as *mut N;
         // SAFETY: secondary-queue nodes are live waiters; `next` likewise.
         unsafe {
-            let sec_tail = (*sec_head).sec_tail.load(Ordering::Relaxed);
-            (*sec_tail).next.store(next, Ordering::Release);
-            (*sec_head).spin.store(SPIN_GRANTED, Ordering::Release);
+            let sec_tail = (*sec_head).sec_tail().load(Ordering::Relaxed);
+            (*sec_tail).next().store(next, Ordering::Release);
+            (*sec_head).spin().store(SPIN_GRANTED, Ordering::Release);
         }
     } else {
         // Plain MCS hand-over to the immediate successor (l. 48).
         // SAFETY: `next` is a live waiter.
         unsafe {
-            (*next).spin.store(SPIN_GRANTED, Ordering::Release);
+            (*next).spin().store(SPIN_GRANTED, Ordering::Release);
         }
     }
 }
@@ -481,9 +508,9 @@ unsafe fn cna_unlock_slow<A: Atomics>(
 ///
 /// The caller must hold the lock; `next` must be the (non-null, acquired)
 /// value of `me.next`.
-unsafe fn find_successor<A: Atomics>(me: &CnaNode<A>, next: *mut CnaNode<A>) -> *mut CnaNode<A> {
+unsafe fn find_successor<N: CnaQueueNode>(me: &N, next: *mut N) -> *mut N {
     let my_socket = {
-        let s = me.socket.load(Ordering::Relaxed);
+        let s = me.socket().load(Ordering::Relaxed);
         if s == SOCKET_UNKNOWN {
             numa_topology::current_socket() as isize
         } else {
@@ -493,11 +520,11 @@ unsafe fn find_successor<A: Atomics>(me: &CnaNode<A>, next: *mut CnaNode<A>) -> 
 
     // SAFETY (applies to every dereference below): any node reachable from
     // the main or secondary queue while we hold the lock belongs to a thread
-    // that is still spinning in `cna_lock` (its `spin` is 0) — it cannot
+    // that is still waiting for the lock (its `spin` is 0) — it cannot
     // return, reuse or free its node until a holder grants it the lock, and
     // only the current holder (us) can do that.
     unsafe {
-        if (*next).socket.load(Ordering::Relaxed) == my_socket {
+        if (*next).socket().load(Ordering::Relaxed) == my_socket {
             return next;
         }
 
@@ -505,30 +532,32 @@ unsafe fn find_successor<A: Atomics>(me: &CnaNode<A>, next: *mut CnaNode<A>) -> 
         // queue if we find a local successor further down.
         let moved_head = next;
         let mut moved_tail = next;
-        let mut cur = (*next).next.load(Ordering::Acquire);
+        let mut cur = (*next).next().load(Ordering::Acquire);
 
         while !cur.is_null() {
-            if (*cur).socket.load(Ordering::Relaxed) == my_socket {
-                let spin_val = me.spin.load(Ordering::Relaxed);
+            if (*cur).socket().load(Ordering::Relaxed) == my_socket {
+                let spin_val = me.spin().load(Ordering::Relaxed);
                 if spin_val > SPIN_GRANTED {
                     // Append the skipped run to the existing secondary queue.
-                    let sec_head = spin_val as *mut CnaNode<A>;
-                    let sec_tail = (*sec_head).sec_tail.load(Ordering::Relaxed);
-                    (*sec_tail).next.store(moved_head, Ordering::Release);
+                    let sec_head = spin_val as *mut N;
+                    let sec_tail = (*sec_head).sec_tail().load(Ordering::Relaxed);
+                    (*sec_tail).next().store(moved_head, Ordering::Release);
                 } else {
                     // Secondary queue was empty: the run becomes the queue and
                     // our spin word now carries its head.
-                    me.spin.store(moved_head as usize, Ordering::Relaxed);
+                    me.spin().store(moved_head as usize, Ordering::Relaxed);
                 }
                 // Terminate the secondary queue and cache its tail in the
                 // head node (l. 67–68).
-                (*moved_tail).next.store(ptr::null_mut(), Ordering::Release);
-                let sec_head = me.spin.load(Ordering::Relaxed) as *mut CnaNode<A>;
-                (*sec_head).sec_tail.store(moved_tail, Ordering::Release);
+                (*moved_tail)
+                    .next()
+                    .store(ptr::null_mut(), Ordering::Release);
+                let sec_head = me.spin().load(Ordering::Relaxed) as *mut N;
+                (*sec_head).sec_tail().store(moved_tail, Ordering::Release);
                 return cur;
             }
             moved_tail = cur;
-            cur = (*cur).next.load(Ordering::Acquire);
+            cur = (*cur).next().load(Ordering::Acquire);
         }
     }
     ptr::null_mut()
@@ -647,38 +676,16 @@ mod tests {
         hammer::<NeverFlushParams>(4, 3_000);
     }
 
+    /// A fairness mask other than the four shipped ones: the secondary
+    /// queue is flushed on about one hand-over in sixteen.
+    struct FrequentFlushParams;
+    impl CnaParams for FrequentFlushParams {
+        const KEEP_LOCAL_MASK: u64 = 0xf;
+    }
+
     #[test]
-    fn mutual_exclusion_tunable() {
-        struct RacyCounter(std::cell::UnsafeCell<u64>);
-        // SAFETY(test): only accessed under the lock.
-        unsafe impl Sync for RacyCounter {}
-        let lock = Arc::new(TunableCnaLock::with_config(
-            CnaConfig::default().keep_local_mask(0xf),
-        ));
-        let counter = Arc::new(RacyCounter(std::cell::UnsafeCell::new(0)));
-        let handles: Vec<_> = (0..4)
-            .map(|t| {
-                let lock = Arc::clone(&lock);
-                let counter = Arc::clone(&counter);
-                std::thread::spawn(move || {
-                    let _socket = SocketOverrideGuard::new(t % 2);
-                    let node = CnaNode::new();
-                    for _ in 0..2_000 {
-                        // SAFETY: as in `hammer`.
-                        unsafe {
-                            lock.lock(&node);
-                            *counter.0.get() += 1;
-                            lock.unlock(&node);
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        // SAFETY: all writers joined.
-        assert_eq!(unsafe { *counter.0.get() }, 8_000);
+    fn mutual_exclusion_frequent_flush() {
+        hammer::<FrequentFlushParams>(4, 2_000);
     }
 
     /// Reproduces the hand-over order of the running example in Fig. 1:

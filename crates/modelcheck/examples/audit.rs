@@ -1,6 +1,6 @@
 use modelcheck::suite::{
-    self, ModelCBoMcs, ModelClh, ModelCna, ModelFissile, ModelHbo, ModelHmcs, ModelMcs, ModelMcscr,
-    ModelTicket,
+    self, ModelCBoMcs, ModelClh, ModelCna, ModelCnaAlwaysFlush, ModelCnaNeverFlush, ModelCnaOpt,
+    ModelFissile, ModelHbo, ModelHmcs, ModelMcs, ModelMcscr, ModelTicket,
 };
 use modelcheck::Config;
 
@@ -26,6 +26,28 @@ fn main() {
         (
             "cna",
             suite::audit(&cfg, &suite::raw_lock_scenario::<ModelCna>("cna", 2, 1)),
+        ),
+        // CNA's coin pinned both ways, and the shuffle reduction.
+        (
+            "cna-always-flush",
+            suite::audit(
+                &cfg,
+                &suite::raw_lock_scenario::<ModelCnaAlwaysFlush>("cna-always-flush", 2, 1),
+            ),
+        ),
+        (
+            "cna-never-flush",
+            suite::audit(
+                &cfg,
+                &suite::raw_lock_scenario::<ModelCnaNeverFlush>("cna-never-flush", 2, 1),
+            ),
+        ),
+        (
+            "cna-opt",
+            suite::audit(
+                &cfg,
+                &suite::raw_lock_scenario::<ModelCnaOpt>("cna-opt", 2, 1),
+            ),
         ),
         // The cohort family: the shared MCS local layer (cohort.rs) under
         // C-BO-MCS, plus the fused hierarchical queue (hmcs.rs) and the

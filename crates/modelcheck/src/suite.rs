@@ -9,7 +9,7 @@
 //! (not on body stacks) so a violation-aborted execution cannot free memory
 //! another thread still references.
 
-use cna::raw::{AlwaysFlushParams, CnaLock, NeverFlushParams, PaperParams, TunableCnaLock};
+use cna::raw::{AlwaysFlushParams, CnaLock, NeverFlushParams, PaperParams, ShuffleReductionParams};
 use leveldb_lite::MemTable;
 use locks::{
     CBoMcsLock, CPtlTktLock, CTktTktLock, ClhLock, FissileLock, HboLock, HmcsLock, McsCrLock,
@@ -254,8 +254,8 @@ pub type ModelCna = CnaLock<PaperParams, ModelAtomics>;
 pub type ModelCnaAlwaysFlush = CnaLock<AlwaysFlushParams, ModelAtomics>;
 /// CNA that never flushes (starvation-prone variant).
 pub type ModelCnaNeverFlush = CnaLock<NeverFlushParams, ModelAtomics>;
-/// Runtime-tunable CNA under the model family.
-pub type ModelCnaOpt = TunableCnaLock<ModelAtomics>;
+/// "CNA (opt)": CNA with the §6 shuffle reduction, under the model family.
+pub type ModelCnaOpt = CnaLock<ShuffleReductionParams, ModelAtomics>;
 /// TTAS backoff lock under the model family (the C-BO-MCS global layer).
 pub type ModelTtasBackoff = TtasBackoffLock<ModelAtomics>;
 /// HBO under the model family (single word, no per-socket allocation).

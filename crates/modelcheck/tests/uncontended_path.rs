@@ -1,6 +1,8 @@
+//! Which CNA sites each model-check scenario reaches, found by their source
+//! text in `crates/core/src/raw.rs`.
+//!
 //! The paper's single-thread claim as an assertion: CNA keeps MCS's "single
 //! atomic instruction in the acquisition path" and its single-thread cost.
-//!
 //! One thread doing one acquisition touches only the uncontended paths, and
 //! `Report::sites` lists every `Ordering::` site it touched. Counting them
 //! in each lock's own file pins what the fast paths do: CNA runs MCS's two
@@ -9,8 +11,12 @@
 //! l. 18), and none of the contended-only sites. The contended sites are
 //! found by their source text, and the two-thread scenario must reach each
 //! of them, so a stale needle fails here rather than passing vacuously.
+//!
+//! Beyond two threads: `cna-opt` must reach the §6 shuffle-reduction grant,
+//! and `cna-never-flush` with three threads must reach the secondary queue.
+//! That hand-over is the one the kernel-style `qspinlock-cna` runs too.
 
-use modelcheck::suite::{raw_lock_scenario, ModelCna, ModelCnaOpt, ModelMcs};
+use modelcheck::suite::{raw_lock_scenario, ModelCna, ModelCnaNeverFlush, ModelCnaOpt, ModelMcs};
 use modelcheck::{explore, Config, SiteInfo};
 use sync_core::raw::RawLock;
 
@@ -19,17 +25,36 @@ const CNA_SOURCE: &str = include_str!("../../core/src/raw.rs");
 const MCS_FILE: &str = "/locks/src/mcs.rs";
 
 /// The sites in `file` touched by `threads` threads doing one acquisition
-/// each of `L`.
-fn sites<L: RawLock + 'static>(name: &str, threads: usize, file: &str) -> Vec<SiteInfo> {
+/// each of `L`, explored completely at preemption bound `bound`.
+fn sites_at<L: RawLock + 'static>(
+    name: &str,
+    threads: usize,
+    bound: u32,
+    file: &str,
+) -> Vec<SiteInfo> {
     let mut cfg = Config::smoke(name);
     cfg.trace_dir = None;
+    cfg.preemption_bound = Some(bound);
     let report = explore(&cfg, &raw_lock_scenario::<L>(name, threads, 1));
     report.assert_ok();
+    assert!(
+        report.complete,
+        "{name}: {threads} threads at bound {bound} did not complete in {} schedules",
+        report.schedules
+    );
     report
         .sites
         .into_iter()
         .filter(|s| s.file.ends_with(file))
         .collect()
+}
+
+/// [`sites_at`] at the smoke configuration's bound.
+fn sites<L: RawLock + 'static>(name: &str, threads: usize, file: &str) -> Vec<SiteInfo> {
+    let bound = Config::smoke(name)
+        .preemption_bound
+        .expect("smoke is bounded");
+    sites_at::<L>(name, threads, bound, file)
 }
 
 fn count(sites: &[SiteInfo], kind: &str) -> usize {
@@ -46,6 +71,19 @@ fn cna_line(needle: &str) -> u32 {
         .collect();
     assert_eq!(lines.len(), 1, "{needle:?} must start exactly one line");
     lines[0]
+}
+
+/// The first line after the one statement starting with `anchor` that
+/// starts with `needle` (for statements whose text occurs more than once).
+fn cna_line_after(anchor: &str, needle: &str) -> u32 {
+    let from = cna_line(anchor);
+    CNA_SOURCE
+        .lines()
+        .zip(1..)
+        .skip(from as usize)
+        .find(|(text, _)| text.trim_start().starts_with(needle))
+        .map(|(_, line)| line)
+        .unwrap_or_else(|| panic!("no {needle:?} after raw.rs:{from}"))
 }
 
 fn touches(sites: &[SiteInfo], line: u32) -> bool {
@@ -123,6 +161,46 @@ fn the_uncontended_path_touches_no_contended_site() {
         assert!(
             !one.iter().any(|s| s.ordering == "Release"),
             "{name}: one thread reached a Release site: {one:?}"
+        );
+    }
+}
+
+#[test]
+fn cna_opt_reaches_the_shuffle_reduction_grant_and_cna_does_not() {
+    let shuffle_grant = cna_line_after(
+        "&& pseudo_rand() & P::SHUFFLE_MASK != 0",
+        "(*next).spin().store(SPIN_GRANTED",
+    );
+    let opt = sites::<ModelCnaOpt>("cna-opt-2", 2, CNA_FILE);
+    assert!(
+        touches(&opt, shuffle_grant),
+        "cna-opt: two threads must reach the shuffle-reduction grant (raw.rs:{shuffle_grant}): {opt:?}"
+    );
+    let paper = sites::<ModelCna>("cna-2", 2, CNA_FILE);
+    assert!(
+        !touches(&paper, shuffle_grant),
+        "cna: shuffle reduction is off, yet raw.rs:{shuffle_grant} was reached"
+    );
+}
+
+/// Three threads on two sockets, one acquisition each, at preemption bound
+/// 2: the smallest scenario that reaches the secondary queue (about 28 000
+/// schedules). Two threads never leave the MCS-shaped paths.
+#[test]
+fn three_threads_reach_the_secondary_queue() {
+    let stash = cna_line("me.spin().store(moved_head as usize");
+    let retarget = cna_line("tail.compare_exchange(me_ptr, sec_tail,");
+    let local_grant = cna_line("(*succ).spin().store(handoff");
+
+    let three = sites_at::<ModelCnaNeverFlush>("cna-never-flush-3", 3, 2, CNA_FILE);
+    for (what, line) in [
+        ("the secondary-queue move (the moved_head stash)", stash),
+        ("the tail-retarget CAS", retarget),
+        ("the local grant", local_grant),
+    ] {
+        assert!(
+            touches(&three, line),
+            "three threads must reach {what} (raw.rs:{line}): {three:?}"
         );
     }
 }

@@ -18,7 +18,10 @@
 //! * [`QSpinLock<McsPolicy>`] (alias [`StockQSpinLock`]) — the unmodified
 //!   4.20 behaviour ("stock" in Figures 13–15).
 //! * [`QSpinLock<CnaPolicy>`] (alias [`CnaQSpinLock`]) — the CNA slow path
-//!   ("CNA" in Figures 13–15).
+//!   ("CNA" in Figures 13–15). The policy is glue over the user-space CNA
+//!   lock's hand-over, `cna::raw::hand_over` and
+//!   `cna::raw::retarget_secondary`, run on the per-CPU nodes with the
+//!   paper's parameters: both lock words execute one copy of the algorithm.
 //!
 //! "CPUs" are emulated by registered threads ([`numa_topology`] hands out
 //! dense thread indices); per-CPU queue nodes live in a global table sized at

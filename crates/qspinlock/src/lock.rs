@@ -328,6 +328,62 @@ mod tests {
         assert_eq!(unsafe { *counter.0.get() }, 6_000);
     }
 
+    /// The CNA slow path still reorders: with every coin keeping the lock
+    /// local, same-socket waiters are promoted before remote ones. Waiters
+    /// 1–5 queue in order on sockets 0, 1, 0, 1, 0 behind the holder and a
+    /// pending-bit owner. Queue head 1 moves 2 to the secondary queue and
+    /// promotes 3; 3 appends 4 and promotes 5; 5 finds the main queue empty
+    /// and retargets the tail at the secondary queue, promoting 2; 2 hands to
+    /// 4 on its own socket.
+    #[test]
+    fn numa_aware_handover_prefers_local_waiters() {
+        const SEED: u64 = 1;
+        let lock = Arc::new(CnaQSpinLock::new());
+        let order = Arc::new(std::sync::Mutex::new(Vec::<usize>::new()));
+        let await_word = |cond: &dyn Fn(u32) -> bool| {
+            while !cond(lock.raw_value()) {
+                std::thread::yield_now();
+            }
+        };
+        let contender = |id: usize, socket: usize| {
+            let lock = Arc::clone(&lock);
+            let order = Arc::clone(&order);
+            std::thread::spawn(move || {
+                let _socket = SocketOverrideGuard::new(socket);
+                cna::rng::reseed(SEED);
+                assert!(
+                    (0..8).all(|_| cna::rng::pseudo_rand() & cna::THRESHOLD != 0),
+                    "seed {SEED} flushes the secondary queue"
+                );
+                cna::rng::reseed(SEED);
+                // SAFETY: `()` node; matched pair.
+                unsafe {
+                    lock.lock(&());
+                    order.lock().unwrap().push(id);
+                    lock.unlock(&());
+                }
+            })
+        };
+
+        // SAFETY: `()` node; unlocked below.
+        unsafe { lock.lock(&()) };
+        // The first contender takes the pending bit and does not queue.
+        let mut handles = vec![contender(0, 1)];
+        await_word(&|v| v & PENDING != 0);
+        for (id, socket) in [(1, 0), (2, 1), (3, 0), (4, 1), (5, 0)] {
+            let before = lock.raw_value() & TAIL_MASK;
+            handles.push(contender(id, socket));
+            await_word(&|v| v & TAIL_MASK != before);
+        }
+        // SAFETY: matching unlock.
+        unsafe { lock.unlock(&()) };
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(*order.lock().unwrap(), vec![0, 1, 3, 5, 2, 4]);
+        assert_eq!(lock.raw_value(), 0);
+    }
+
     #[test]
     fn nested_distinct_locks_respect_nesting_limit() {
         // The kernel allows up to four nested spin locks; exercise three.

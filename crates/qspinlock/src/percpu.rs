@@ -8,9 +8,11 @@
 //! global.
 
 use std::ptr;
-use std::sync::atomic::{AtomicIsize, AtomicPtr, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicPtr, AtomicU32, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
+use cna::raw::CnaQueueNode;
+use sync_core::atomics::StdAtomics;
 use sync_core::padded::CachePadded;
 
 use crate::{MAX_CPUS, MAX_NESTING};
@@ -62,6 +64,32 @@ impl QsNode {
     }
 }
 
+/// The CNA hand-over (`cna::raw::hand_over`) runs on these nodes with the
+/// `locked` word as its spin word.
+impl CnaQueueNode for QsNode {
+    type A = StdAtomics;
+
+    #[inline(always)]
+    fn spin(&self) -> &AtomicUsize {
+        &self.locked
+    }
+
+    #[inline(always)]
+    fn socket(&self) -> &AtomicIsize {
+        &self.socket
+    }
+
+    #[inline(always)]
+    fn sec_tail(&self) -> &AtomicPtr<QsNode> {
+        &self.sec_tail
+    }
+
+    #[inline(always)]
+    fn next(&self) -> &AtomicPtr<QsNode> {
+        &self.next
+    }
+}
+
 /// Per-CPU slot: the nesting-indexed nodes plus the nesting counter.
 #[derive(Debug, Default)]
 pub struct PerCpu {
@@ -70,6 +98,9 @@ pub struct PerCpu {
     /// owning thread modifies it; stored as an atomic because the table is
     /// shared.
     count: AtomicUsize,
+    /// Set while the id is lent to a thread whose own slot is already gone;
+    /// the episode's last [`release_node`] returns it to the free list.
+    on_loan: AtomicBool,
 }
 
 fn table() -> &'static [CachePadded<PerCpu>] {
@@ -117,11 +148,13 @@ fn allocate_cpu() -> usize {
     id
 }
 
-/// The emulated CPU id of the calling thread.
+/// The emulated CPU id of the calling thread, for one slow-path episode.
 ///
 /// Ids are allocated on first use and recycled when the thread exits, so any
 /// number of short-lived threads is supported as long as no more than
-/// [`MAX_CPUS`] are alive at once.
+/// [`MAX_CPUS`] are alive at once. A thread whose own slot is already torn
+/// down (a lock taken in a late thread-local destructor) borrows a free id
+/// for the episode; its last [`release_node`] gives the id back.
 ///
 /// # Panics
 ///
@@ -129,7 +162,11 @@ fn allocate_cpu() -> usize {
 /// per-CPU table cannot be shared between live threads without breaking the
 /// queue protocol, exactly as the kernel cannot exceed `NR_CPUS`.
 pub fn current_cpu() -> usize {
-    CPU_SLOT.with(|slot| slot.0)
+    CPU_SLOT.try_with(|slot| slot.0).unwrap_or_else(|_| {
+        let id = allocate_cpu();
+        table()[id].on_loan.store(true, Ordering::Relaxed);
+        id
+    })
 }
 
 /// Claims the next nesting slot of the calling CPU and returns
@@ -154,11 +191,16 @@ pub(crate) fn claim_node(cpu: usize) -> (&'static QsNode, u32) {
     (node, tail)
 }
 
-/// Releases the most recently claimed nesting slot of the calling CPU.
+/// Releases the most recently claimed nesting slot of the calling CPU, and
+/// a borrowed CPU id with the episode's last slot.
 pub(crate) fn release_node(cpu: usize) {
     let per_cpu = &table()[cpu];
     let prev = per_cpu.count.fetch_sub(1, Ordering::Relaxed);
     debug_assert!(prev >= 1, "release without a claimed node on cpu {cpu}");
+    if prev == 1 && per_cpu.on_loan.load(Ordering::Relaxed) {
+        per_cpu.on_loan.store(false, Ordering::Relaxed);
+        cpu_free_list().lock().expect("cpu free list").push(cpu);
+    }
 }
 
 /// Resolves an encoded tail to its node.
@@ -220,6 +262,67 @@ mod tests {
         assert!(node.next.load(Ordering::Relaxed).is_null());
         assert_eq!(node.encoded_tail.load(Ordering::Relaxed), tail);
         release_node(cpu);
+    }
+
+    /// A lock queued for in a thread-local destructor that runs after
+    /// `CPU_SLOT`'s: the thread borrows a CPU id for the episode instead of
+    /// panicking in the destructor, which would abort the process.
+    #[test]
+    fn queueing_in_a_late_tls_destructor_borrows_a_cpu() {
+        use crate::lock::CnaQSpinLock;
+        use crate::word::{PENDING, TAIL_MASK};
+        use std::cell::RefCell;
+        use sync_core::raw::RawLock;
+
+        static LOCK: CnaQSpinLock = CnaQSpinLock::new();
+
+        struct QueuesOnDrop;
+        impl Drop for QueuesOnDrop {
+            fn drop(&mut self) {
+                assert!(CPU_SLOT.try_with(|_| ()).is_err(), "CPU_SLOT is gone");
+                // SAFETY: `()` node; matched pair.
+                unsafe {
+                    LOCK.lock(&());
+                    LOCK.unlock(&());
+                }
+            }
+        }
+        thread_local! {
+            static LATE: RefCell<Option<QueuesOnDrop>> = const { RefCell::new(None) };
+        }
+
+        let spin_until = |cond: &dyn Fn(u32) -> bool| {
+            while !cond(LOCK.raw_value()) {
+                std::thread::yield_now();
+            }
+        };
+        // SAFETY: `()` node; unlocked below.
+        unsafe { LOCK.lock(&()) };
+        // A second contender takes the pending bit, so the third must queue.
+        // SAFETY: as above.
+        let pending = std::thread::spawn(|| unsafe {
+            LOCK.lock(&());
+            LOCK.unlock(&());
+        });
+        spin_until(&|v| v & PENDING != 0);
+        let exiting = std::thread::spawn(|| {
+            // Destructors run in reverse registration order: registering
+            // CPU_SLOT after LATE tears it down first.
+            LATE.with(|slot| *slot.borrow_mut() = Some(QueuesOnDrop));
+            current_cpu();
+        });
+        spin_until(&|v| v & TAIL_MASK != 0);
+        // SAFETY: matching unlock.
+        unsafe { LOCK.unlock(&()) };
+        pending.join().unwrap();
+        exiting
+            .join()
+            .expect("the destructor queued and took the lock");
+        assert_eq!(LOCK.raw_value(), 0);
+        assert!(
+            table().iter().all(|c| !c.on_loan.load(Ordering::Relaxed)),
+            "the borrowed id went back to the free list"
+        );
     }
 
     #[test]

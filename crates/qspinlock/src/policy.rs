@@ -5,15 +5,17 @@
 //! policies differ only in (a) whether a queued waiter records its socket and
 //! (b) which waiter is promoted to queue head when the lock is claimed. This
 //! module captures exactly that difference, mirroring how the paper's kernel
-//! change is confined to the slow-path hand-over.
+//! change is confined to the slow-path hand-over. The CNA policy holds no
+//! hand-over of its own: it is glue over `cna::raw::hand_over` and
+//! `cna::raw::retarget_secondary`, the code the user-space CNA lock runs.
 
-use std::ptr;
 use std::sync::atomic::{AtomicU32, Ordering};
 
+use cna::raw::{hand_over, retarget_secondary, PaperParams};
 use sync_core::spin::spin_until;
 
 use crate::percpu::QsNode;
-use crate::word::{LOCKED, TAIL_MASK};
+use crate::word::LOCKED;
 
 /// Granted value stored in a successor's `locked` field when the secondary
 /// queue is empty.
@@ -75,56 +77,11 @@ impl SlowPathPolicy for McsPolicy {
     }
 }
 
-/// The CNA hand-over policy (the paper's kernel patch).
+/// The CNA hand-over policy (the paper's kernel patch): glue over
+/// `cna::raw`'s hand-over, with the paper's parameters (shuffle reduction
+/// off).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct CnaPolicy;
-
-impl CnaPolicy {
-    /// The paper's `keep_lock_local()` applied to the kernel slow path.
-    fn keep_lock_local() -> bool {
-        cna::rng::pseudo_rand() & cna::THRESHOLD != 0
-    }
-
-    /// Scans the main queue for a waiter on `my_socket`, moving the skipped
-    /// prefix to the secondary queue threaded through `me.locked`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must hold queue-head status; `next` must be the live immediate
-    /// successor.
-    unsafe fn find_successor(me: &QsNode, next: *mut QsNode, my_socket: isize) -> *mut QsNode {
-        // SAFETY: every node reachable from the queues belongs to a thread
-        // still spinning in the slow path; it cannot release or reuse its
-        // per-CPU node until promoted by the current queue head (us).
-        unsafe {
-            if (*next).socket.load(Ordering::Relaxed) == my_socket {
-                return next;
-            }
-            let moved_head = next;
-            let mut moved_tail = next;
-            let mut cur = (*next).next.load(Ordering::Acquire);
-            while !cur.is_null() {
-                if (*cur).socket.load(Ordering::Relaxed) == my_socket {
-                    let spin_val = me.locked.load(Ordering::Relaxed);
-                    if spin_val > GRANTED {
-                        let sec_head = spin_val as *mut QsNode;
-                        let sec_tail = (*sec_head).sec_tail.load(Ordering::Relaxed);
-                        (*sec_tail).next.store(moved_head, Ordering::Release);
-                    } else {
-                        me.locked.store(moved_head as usize, Ordering::Relaxed);
-                    }
-                    (*moved_tail).next.store(ptr::null_mut(), Ordering::Release);
-                    let sec_head = me.locked.load(Ordering::Relaxed) as *mut QsNode;
-                    (*sec_head).sec_tail.store(moved_tail, Ordering::Release);
-                    return cur;
-                }
-                moved_tail = cur;
-                cur = (*cur).next.load(Ordering::Acquire);
-            }
-        }
-        ptr::null_mut()
-    }
-}
 
 impl SlowPathPolicy for CnaPolicy {
     const NAME: &'static str = "CNA";
@@ -135,90 +92,35 @@ impl SlowPathPolicy for CnaPolicy {
     }
 
     unsafe fn pass_queue_head(_lock: &AtomicU32, me: &QsNode, next: *mut QsNode) {
-        let my_socket = {
-            let s = me.socket.load(Ordering::Relaxed);
-            if s == -1 {
-                numa_topology::current_socket() as isize
-            } else {
-                s
-            }
-        };
-
-        // Normalise: a thread that entered an empty queue never had its
-        // `locked` field written; treat it as "granted, empty secondary" so
-        // the value passed on is never 0.
+        // A head that entered an empty queue was never granted by a
+        // predecessor, so its `locked` is still 0; the hand-over reads it as
+        // "granted, secondary queue empty" and must never pass a 0 on.
         if me.locked.load(Ordering::Relaxed) == 0 {
             me.locked.store(GRANTED, Ordering::Relaxed);
         }
-
-        let mut succ: *mut QsNode = ptr::null_mut();
-        if Self::keep_lock_local() {
-            // SAFETY: forwarded caller contract.
-            succ = unsafe { Self::find_successor(me, next, my_socket) };
-        }
-
-        if !succ.is_null() {
-            let handoff = me.locked.load(Ordering::Relaxed);
-            // SAFETY: `succ` is a live queued node on our socket.
-            unsafe {
-                (*succ).locked.store(handoff, Ordering::Release);
-            }
-            return;
-        }
-
-        let spin_val = me.locked.load(Ordering::Relaxed);
-        if spin_val > GRANTED {
-            // Splice the secondary queue in front of the main-queue successor
-            // and promote its head.
-            let sec_head = spin_val as *mut QsNode;
-            // SAFETY: secondary-queue nodes and `next` are live waiters.
-            unsafe {
-                let sec_tail = (*sec_head).sec_tail.load(Ordering::Relaxed);
-                (*sec_tail).next.store(next, Ordering::Release);
-                (*sec_head).locked.store(GRANTED, Ordering::Release);
-            }
-        } else {
-            // SAFETY: `next` is a live waiter.
-            unsafe {
-                (*next).locked.store(GRANTED, Ordering::Release);
-            }
-        }
+        // SAFETY: forwarded caller contract; `locked` is now GRANTED or the
+        // secondary queue's head.
+        unsafe { hand_over::<PaperParams, _>(me, next) }
     }
 
     unsafe fn try_clear_tail(lock: &AtomicU32, me: &QsNode, val: u32) -> bool {
-        let spin_val = me.locked.load(Ordering::Relaxed);
-        if spin_val <= GRANTED {
-            // Both queues empty: clear the tail, keeping only the locked byte.
-            return lock
-                .compare_exchange(val, LOCKED, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok();
-        }
-        // Main queue empty but the secondary queue is not: make the secondary
-        // queue the main queue (point the tail at its last node) and promote
-        // its head.
-        let sec_head = spin_val as *mut QsNode;
-        // SAFETY: the secondary head/tail are live parked waiters.
-        let sec_tail_enc = unsafe {
-            let sec_tail = (*sec_head).sec_tail.load(Ordering::Relaxed);
-            (*sec_tail).encoded_tail.load(Ordering::Relaxed)
+        let claim = |tail: u32| {
+            lock.compare_exchange(val, LOCKED | tail, Ordering::AcqRel, Ordering::Relaxed)
+                .is_ok()
         };
-        debug_assert_ne!(sec_tail_enc & TAIL_MASK, 0);
-        if lock
-            .compare_exchange(
-                val,
-                LOCKED | (sec_tail_enc & TAIL_MASK),
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            )
-            .is_ok()
-        {
-            // SAFETY: as above.
-            unsafe {
-                (*sec_head).locked.store(GRANTED, Ordering::Release);
-            }
-            return true;
+        if me.locked.load(Ordering::Relaxed) <= GRANTED {
+            // Both queues empty: clear the tail, keeping only the locked byte.
+            return claim(0);
         }
-        false
+        // Main queue empty but the secondary queue is not: point the tail at
+        // the secondary queue's last node.
+        // SAFETY: we are the queue head with a non-empty secondary queue;
+        // its tail is a live parked waiter.
+        unsafe {
+            retarget_secondary(me, |sec_tail: *mut QsNode| {
+                claim((*sec_tail).encoded_tail.load(Ordering::Relaxed))
+            })
+        }
     }
 }
 

@@ -353,11 +353,10 @@ impl LockId {
     /// `Ordering::` site of the implementation is cross-checked against the
     /// machine-readable table in `docs/orderings.md` (rule
     /// `ordering-audit-drift`), alongside the rest of the lock-discipline
-    /// rules. The qspinlocks live outside the audited crates (their per-CPU
-    /// static table keeps them off the generic-atomics path); their orderings
-    /// are audited as prose only.
+    /// rules. Every registered lock is: the qspinlocks' crate is in the
+    /// scope too, and their CNA hand-over is `cna::raw`'s.
     pub const fn is_linted(self) -> bool {
-        !matches!(self, LockId::QSpinStock | LockId::QSpinCna)
+        true
     }
 
     /// Builds the type-erased real lock — the `LockId → DynLock` factory.
@@ -689,13 +688,9 @@ mod tests {
     }
 
     #[test]
-    fn linted_set_covers_everything_but_the_qspinlocks() {
+    fn linted_set_covers_every_lock() {
         for id in LockId::ALL {
-            assert_eq!(
-                id.is_linted(),
-                !matches!(id, LockId::QSpinStock | LockId::QSpinCna),
-                "{id}: lint-audit coverage drifted"
-            );
+            assert!(id.is_linted(), "{id}: lint-audit coverage drifted");
         }
     }
 

@@ -6,7 +6,10 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use cna_locks::cna::{CnaConfig, CnaLock, CnaMutex};
+use cna_locks::cna::raw::{
+    AlwaysFlushParams, CnaParams, NeverFlushParams, PaperParams, ShuffleReductionParams,
+};
+use cna_locks::cna::{CnaLock, CnaMutex};
 use cna_locks::harness::{run_real_contention, run_real_contention_dyn, RunConfig};
 use cna_locks::locks::{
     CBoMcsLock, CPtlTktLock, CTktTktLock, ClhLock, HboLock, HmcsLock, McsLock,
@@ -242,14 +245,15 @@ fn cna_mutex_guards_compose_with_std_collections() {
 
 #[test]
 fn tunable_cna_configurations_all_work_under_contention() {
-    for config in [
-        CnaConfig::paper_default(),
-        CnaConfig::with_shuffle_reduction(),
-        CnaConfig::always_flush(),
-        CnaConfig::never_flush(),
-        CnaConfig::default().keep_local_mask(0xf),
-    ] {
-        let m = Arc::new(cna_locks::cna::mutex::tunable_mutex(config, 0u64));
+    /// A fairness mask none of the shipped parameter types uses: the
+    /// secondary queue is flushed on about one hand-over in sixteen.
+    struct FrequentFlush;
+    impl CnaParams for FrequentFlush {
+        const KEEP_LOCAL_MASK: u64 = 0xf;
+    }
+
+    fn contend<P: CnaParams>() {
+        let m = Arc::new(LockMutex::<u64, CnaLock<P>>::new(0));
         std::thread::scope(|s| {
             for t in 0..3 {
                 let m = Arc::clone(&m);
@@ -261,8 +265,14 @@ fn tunable_cna_configurations_all_work_under_contention() {
                 });
             }
         });
-        assert_eq!(*m.lock(), 3_000, "config {config:?} lost updates");
+        assert_eq!(*m.lock(), 3_000, "{} lost updates", m.algorithm());
     }
+
+    contend::<PaperParams>();
+    contend::<ShuffleReductionParams>();
+    contend::<AlwaysFlushParams>();
+    contend::<NeverFlushParams>();
+    contend::<FrequentFlush>();
 }
 
 #[test]

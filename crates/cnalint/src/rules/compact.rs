@@ -1,6 +1,6 @@
-//! R6 `lock-word-compactness`: every lock type registered through the
-//! registry's `DynLock::new::<T>()` / `DynLock::new_try::<T>()` must have a
-//! pinned `size_of::<T>()` assertion somewhere in the workspace — the hook
+//! R6 `lock-word-compactness`: every lock type a registry row builds with
+//! `DynLock::new::<T>` / `DynLock::new_try::<T>` must have a pinned
+//! `size_of::<T>()` assertion somewhere in the workspace — the hook
 //! `tests/compactness.rs` provides. A registered lock without a size pin can
 //! silently bloat its lock word, which is the exact regression the paper's
 //! compactness table exists to prevent.
@@ -14,7 +14,25 @@ use crate::scan::Workspace;
 /// Runs R6: collects registered types from any `registry/src/lib.rs` in the
 /// workspace, then demands a `size_of::<T` mention for each.
 pub fn run(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
-    // type name → (registry file, registration line)
+    for (ty, (file, line)) in &registered_types(ws) {
+        if !has_size_pin(ws, ty) {
+            diags.push(Diagnostic::error(
+                R6,
+                file,
+                *line,
+                format!(
+                    "registered lock type `{ty}` has no pinned `size_of::<{ty}>()` assertion \
+                     anywhere in the workspace (add it to tests/compactness.rs)"
+                ),
+            ));
+        }
+    }
+}
+
+/// The lock types registered in any `registry/src/lib.rs` of the workspace,
+/// each with the file and line of its first `DynLock::new::<T>` or
+/// `DynLock::new_try::<T>` mention.
+pub fn registered_types(ws: &Workspace) -> BTreeMap<String, (String, u32)> {
     let mut registered: BTreeMap<String, (String, u32)> = BTreeMap::new();
     for f in ws
         .files
@@ -46,20 +64,7 @@ pub fn run(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
             }
         }
     }
-
-    for (ty, (file, line)) in &registered {
-        if !has_size_pin(ws, ty) {
-            diags.push(Diagnostic::error(
-                R6,
-                file,
-                *line,
-                format!(
-                    "registered lock type `{ty}` has no pinned `size_of::<{ty}>()` assertion \
-                     anywhere in the workspace (add it to tests/compactness.rs)"
-                ),
-            ));
-        }
-    }
+    registered
 }
 
 /// `true` when any scanned file contains `size_of` with `ty` among the next

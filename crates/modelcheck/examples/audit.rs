@@ -1,6 +1,6 @@
 use modelcheck::suite::{
-    self, ModelCBoMcs, ModelClh, ModelCna, ModelCnaAlwaysFlush, ModelCnaNeverFlush, ModelCnaOpt,
-    ModelFissile, ModelHbo, ModelHmcs, ModelMcs, ModelMcscr, ModelTicket,
+    self, ModelClh, ModelCna, ModelCnaAlwaysFlush, ModelCnaNeverFlush, ModelCnaOpt, ModelFissile,
+    ModelHbo, ModelMcs, ModelTicket,
 };
 use modelcheck::Config;
 
@@ -10,43 +10,52 @@ fn main() {
     for (name, verdicts) in [
         (
             "mcs",
-            suite::audit(&cfg, &suite::raw_lock_scenario::<ModelMcs>("mcs", 2, 1)),
+            suite::audit(
+                &cfg,
+                &suite::raw_lock_scenario("mcs", ModelMcs::default, 2, 1),
+            ),
         ),
         (
             "clh",
-            suite::audit(&cfg, &suite::raw_lock_scenario::<ModelClh>("clh", 2, 1)),
+            suite::audit(
+                &cfg,
+                &suite::raw_lock_scenario("clh", ModelClh::default, 2, 1),
+            ),
         ),
         (
             "ticket",
             suite::audit(
                 &cfg,
-                &suite::raw_lock_scenario::<ModelTicket>("ticket", 2, 1),
+                &suite::raw_lock_scenario("ticket", ModelTicket::default, 2, 1),
             ),
         ),
         (
             "cna",
-            suite::audit(&cfg, &suite::raw_lock_scenario::<ModelCna>("cna", 2, 1)),
+            suite::audit(
+                &cfg,
+                &suite::raw_lock_scenario("cna", ModelCna::default, 2, 1),
+            ),
         ),
         // CNA's coin pinned both ways, and the shuffle reduction.
         (
             "cna-always-flush",
             suite::audit(
                 &cfg,
-                &suite::raw_lock_scenario::<ModelCnaAlwaysFlush>("cna-always-flush", 2, 1),
+                &suite::raw_lock_scenario("cna-always-flush", ModelCnaAlwaysFlush::default, 2, 1),
             ),
         ),
         (
             "cna-never-flush",
             suite::audit(
                 &cfg,
-                &suite::raw_lock_scenario::<ModelCnaNeverFlush>("cna-never-flush", 2, 1),
+                &suite::raw_lock_scenario("cna-never-flush", ModelCnaNeverFlush::default, 2, 1),
             ),
         ),
         (
             "cna-opt",
             suite::audit(
                 &cfg,
-                &suite::raw_lock_scenario::<ModelCnaOpt>("cna-opt", 2, 1),
+                &suite::raw_lock_scenario("cna-opt", ModelCnaOpt::default, 2, 1),
             ),
         ),
         // The cohort family: the shared MCS local layer (cohort.rs) under
@@ -57,16 +66,22 @@ fn main() {
             "c-bo-mcs",
             suite::audit(
                 &cfg,
-                &suite::raw_lock_scenario::<ModelCBoMcs>("c-bo-mcs", 2, 2),
+                &suite::raw_lock_scenario("c-bo-mcs", suite::model_c_bo_mcs, 2, 2),
             ),
         ),
         (
             "hmcs",
-            suite::audit(&cfg, &suite::raw_lock_scenario::<ModelHmcs>("hmcs", 2, 2)),
+            suite::audit(
+                &cfg,
+                &suite::raw_lock_scenario("hmcs", suite::model_hmcs, 2, 2),
+            ),
         ),
         (
             "hbo",
-            suite::audit(&cfg, &suite::raw_lock_scenario::<ModelHbo>("hbo", 2, 1)),
+            suite::audit(
+                &cfg,
+                &suite::raw_lock_scenario("hbo", ModelHbo::default, 2, 1),
+            ),
         ),
         // Same-socket runs: only these reach the cohort-family *local*
         // layer (successor spins under a same-socket hand-off).
@@ -74,14 +89,19 @@ fn main() {
             "c-bo-mcs/local",
             suite::audit(
                 &cfg,
-                &suite::raw_lock_scenario_same_socket::<ModelCBoMcs>("c-bo-mcs-local", 2, 2),
+                &suite::raw_lock_scenario_same_socket(
+                    "c-bo-mcs-local",
+                    suite::model_c_bo_mcs,
+                    2,
+                    2,
+                ),
             ),
         ),
         (
             "hmcs/local",
             suite::audit(
                 &cfg,
-                &suite::raw_lock_scenario_same_socket::<ModelHmcs>("hmcs-local", 2, 2),
+                &suite::raw_lock_scenario_same_socket("hmcs-local", suite::model_hmcs, 2, 2),
             ),
         ),
         // The admission-layer newcomers ride the same audit.
@@ -89,12 +109,15 @@ fn main() {
             "fissile",
             suite::audit(
                 &cfg,
-                &suite::raw_lock_scenario::<ModelFissile>("fissile", 2, 2),
+                &suite::raw_lock_scenario("fissile", ModelFissile::default, 2, 2),
             ),
         ),
         (
             "mcscr",
-            suite::audit(&cfg, &suite::raw_lock_scenario::<ModelMcscr>("mcscr", 2, 2)),
+            suite::audit(
+                &cfg,
+                &suite::raw_lock_scenario("mcscr", suite::model_mcscr, 2, 2),
+            ),
         ),
         // Not a lock: leveldb-lite's skiplist, one writer and one reader.
         (

@@ -1,6 +1,6 @@
-//! Demo: explore every checked lock at 2 threads, then show the
-//! counterexample the checker produces when the MCS unlock handoff store is
-//! weakened to `Relaxed`.
+//! Demo: explore every row of the smoke table (`suite::SMOKE`) at 2
+//! threads, then show the counterexample the checker produces when the MCS
+//! unlock handoff store is weakened to `Relaxed`.
 //!
 //! ```sh
 //! cargo run -p modelcheck --example probe
@@ -11,7 +11,7 @@ use modelcheck::suite::{self, ModelMcs};
 use modelcheck::{explore, Config, Mutation};
 
 fn main() {
-    for name in suite::SMOKE_LOCKS {
+    for (name, _) in suite::SMOKE {
         let t0 = std::time::Instant::now();
         let schedules = suite::run_smoke(name, 2);
         println!(
@@ -28,7 +28,7 @@ fn main() {
         "dyn-mcs-pool", r.schedules
     );
 
-    let mcs = || suite::raw_lock_scenario::<ModelMcs>("mcs", 2, 1);
+    let mcs = || suite::raw_lock_scenario("mcs", ModelMcs::default, 2, 1);
     let clean = explore(&Config::from_env("clean"), &mcs());
     clean.assert_ok();
     let site = suite::find_site(&clean.sites, "mcs.rs", "store", "Release")

@@ -33,47 +33,33 @@ pub struct RawState<L: RawLock> {
     counter: Data<usize>,
 }
 
+impl<L: RawLock> RawState<L> {
+    fn new(lock: L, threads: usize) -> Self {
+        RawState {
+            lock,
+            nodes: (0..threads).map(|_| L::Node::default()).collect(),
+            cs: CriticalSection::new(),
+            counter: Data::new(0),
+        }
+    }
+}
+
 /// A scenario where `threads` threads each perform `iters`
-/// lock / critical-section / unlock cycles on a lock of type `L`.
+/// lock / critical-section / unlock cycles on the lock `new` builds.
 ///
 /// Bodies reseed the `cna` thread-local RNG from the deterministic per-thread
 /// seed and pin their NUMA socket to `tid % 2`, so CNA's socket decisions and
 /// flush coin-flips replay identically across explorations.
 pub fn raw_lock_scenario<L>(
     name: &str,
+    new: fn() -> L,
     threads: usize,
     iters: usize,
 ) -> Scenario<'static, RawState<L>>
 where
     L: RawLock + 'static,
 {
-    Scenario::new(name, move || RawState {
-        lock: L::default(),
-        nodes: (0..threads).map(|_| L::Node::default()).collect(),
-        cs: CriticalSection::new(),
-        counter: Data::new(0),
-    })
-    .threads(threads, move |s: &RawState<L>, env| {
-        cna::rng::reseed(env.seed);
-        let _socket = SocketOverrideGuard::new(env.tid % 2);
-        for _ in 0..iters {
-            // SAFETY: the node is owned by the scenario state, pinned for
-            // the whole execution, and used by this thread only.
-            unsafe {
-                s.lock.lock(&s.nodes[env.tid]);
-                {
-                    let _cs = s.cs.enter();
-                    s.counter.with(|c| *c += 1);
-                }
-                s.lock.unlock(&s.nodes[env.tid]);
-            }
-        }
-    })
-    .finale(move |s| {
-        s.counter.read(|c| {
-            assert_eq!(*c, threads * iters, "critical-section update lost");
-        })
-    })
+    lock_cycles(name, new, threads, iters, |tid| tid % 2)
 }
 
 /// Like [`raw_lock_scenario`], but with every thread pinned to socket 0.
@@ -84,75 +70,86 @@ where
 /// variant drives exactly those paths for the mutation audit.
 pub fn raw_lock_scenario_same_socket<L>(
     name: &str,
+    new: fn() -> L,
     threads: usize,
     iters: usize,
 ) -> Scenario<'static, RawState<L>>
 where
     L: RawLock + 'static,
 {
-    Scenario::new(name, move || RawState {
-        lock: L::default(),
-        nodes: (0..threads).map(|_| L::Node::default()).collect(),
-        cs: CriticalSection::new(),
-        counter: Data::new(0),
-    })
-    .threads(threads, move |s: &RawState<L>, env| {
-        cna::rng::reseed(env.seed);
-        let _socket = SocketOverrideGuard::new(0);
-        // SAFETY: as in `raw_lock_scenario`.
-        unsafe {
-            for _ in 0..iters {
-                s.lock.lock(&s.nodes[env.tid]);
-                {
-                    let _cs = s.cs.enter();
-                    s.counter.with(|c| *c += 1);
-                }
-                s.lock.unlock(&s.nodes[env.tid]);
-            }
-        }
-    })
-    .finale(move |s| {
-        s.counter.read(|c| {
-            assert_eq!(*c, threads * iters, "critical-section update lost");
-        })
-    })
+    lock_cycles(name, new, threads, iters, |_| 0)
 }
 
-/// A scenario where each thread makes one `try_lock` attempt, entering the
-/// checked region only on success.
-pub fn try_lock_scenario<L>(name: &str, threads: usize) -> Scenario<'static, RawState<L>>
+/// The body of both raw-lock scenarios; `socket` maps a thread id to the
+/// NUMA socket the thread runs on.
+fn lock_cycles<L>(
+    name: &str,
+    new: fn() -> L,
+    threads: usize,
+    iters: usize,
+    socket: fn(usize) -> usize,
+) -> Scenario<'static, RawState<L>>
+where
+    L: RawLock + 'static,
+{
+    Scenario::new(name, move || RawState::new(new(), threads))
+        .threads(threads, move |s: &RawState<L>, env| {
+            cna::rng::reseed(env.seed);
+            let _socket = SocketOverrideGuard::new(socket(env.tid));
+            for _ in 0..iters {
+                // SAFETY: the node is owned by the scenario state, pinned for
+                // the whole execution, and used by this thread only.
+                unsafe {
+                    s.lock.lock(&s.nodes[env.tid]);
+                    {
+                        let _cs = s.cs.enter();
+                        s.counter.with(|c| *c += 1);
+                    }
+                    s.lock.unlock(&s.nodes[env.tid]);
+                }
+            }
+        })
+        .finale(move |s| {
+            s.counter.read(|c| {
+                assert_eq!(*c, threads * iters, "critical-section update lost");
+            })
+        })
+}
+
+/// A scenario where each thread makes one `try_lock` attempt on the lock
+/// `new` builds, entering the checked region only on success.
+pub fn try_lock_scenario<L>(
+    name: &str,
+    new: fn() -> L,
+    threads: usize,
+) -> Scenario<'static, RawState<L>>
 where
     L: RawTryLock + 'static,
 {
-    Scenario::new(name, move || RawState {
-        lock: L::default(),
-        nodes: (0..threads).map(|_| L::Node::default()).collect(),
-        cs: CriticalSection::new(),
-        counter: Data::new(0),
-    })
-    .threads(threads, move |s: &RawState<L>, env| {
-        cna::rng::reseed(env.seed);
-        let _socket = SocketOverrideGuard::new(env.tid % 2);
-        // SAFETY: as in `raw_lock_scenario`.
-        unsafe {
-            if s.lock.try_lock(&s.nodes[env.tid]) {
-                {
-                    let _cs = s.cs.enter();
-                    s.counter.with(|c| *c += 1);
+    Scenario::new(name, move || RawState::new(new(), threads))
+        .threads(threads, move |s: &RawState<L>, env| {
+            cna::rng::reseed(env.seed);
+            let _socket = SocketOverrideGuard::new(env.tid % 2);
+            // SAFETY: as in `lock_cycles`.
+            unsafe {
+                if s.lock.try_lock(&s.nodes[env.tid]) {
+                    {
+                        let _cs = s.cs.enter();
+                        s.counter.with(|c| *c += 1);
+                    }
+                    s.lock.unlock(&s.nodes[env.tid]);
                 }
-                s.lock.unlock(&s.nodes[env.tid]);
             }
-        }
-    })
-    .finale(move |s| {
-        s.counter.read(|c| {
-            // The lock starts free, so at least one attempt must succeed.
-            assert!(
-                (1..=threads).contains(c),
-                "try_lock successes out of range: {c}"
-            );
         })
-    })
+        .finale(move |s| {
+            s.counter.read(|c| {
+                // The lock starts free, so at least one attempt must succeed.
+                assert!(
+                    (1..=threads).contains(c),
+                    "try_lock successes out of range: {c}"
+                );
+            })
+        })
 }
 
 /// Shared state of the erased-lock (node-pool handoff) scenario.
@@ -267,139 +264,85 @@ pub type ModelFissile = FissileLock<ModelAtomics>;
 /// *every* release so exploration reaches the cull/promote/recirculate paths
 /// within a handful of acquisitions (the production cadence of 64 would keep
 /// the bounded tree on the plain-MCS paths only).
-pub struct ModelMcscr(McsCrLock<ModelAtomics>);
-
-impl Default for ModelMcscr {
-    fn default() -> Self {
-        ModelMcscr(McsCrLock::with_recirc_every(1))
-    }
+pub fn model_mcscr() -> McsCrLock<ModelAtomics> {
+    McsCrLock::with_recirc_every(1)
 }
 
-impl RawLock for ModelMcscr {
-    type Node = <McsCrLock<ModelAtomics> as RawLock>::Node;
-    const NAME: &'static str = <McsCrLock<ModelAtomics> as RawLock>::NAME;
+// The topology-sized locks are pinned to two sockets and a fixed hand-over
+// budget, so exploration is identical on any host (their `Default` sizes
+// the lock from the machine's real topology). A budget of 1 reaches both
+// the local-pass and the global-release paths within two acquisitions.
 
-    unsafe fn lock(&self, node: &Self::Node) {
-        // SAFETY: forwarded contract.
-        unsafe { self.0.lock(node) }
-    }
-
-    unsafe fn unlock(&self, node: &Self::Node) {
-        // SAFETY: forwarded contract.
-        unsafe { self.0.unlock(node) }
-    }
+/// C-BO-MCS under the model family: 2 sockets, batch budget 1.
+pub fn model_c_bo_mcs() -> CBoMcsLock<ModelAtomics> {
+    CBoMcsLock::with_sockets_in(2, 1)
 }
 
-/// Declares a model wrapper for a topology-sized lock, pinned to a fixed
-/// socket count and hand-over budget so exploration is identical on any host
-/// (the `Default` the scenarios use would otherwise size the lock from the
-/// machine's real topology). A budget of 1 reaches both the local-pass and
-/// the global-release paths within two acquisitions.
-macro_rules! pinned_model_lock {
-    ($(#[$doc:meta])* $model:ident, $inner:ident, $budget:expr) => {
-        $(#[$doc])*
-        pub struct $model($inner<ModelAtomics>);
-
-        impl Default for $model {
-            fn default() -> Self {
-                $model($inner::with_sockets_in(2, $budget))
-            }
-        }
-
-        impl RawLock for $model {
-            type Node = <$inner<ModelAtomics> as RawLock>::Node;
-            const NAME: &'static str = <$inner<ModelAtomics> as RawLock>::NAME;
-
-            unsafe fn lock(&self, node: &Self::Node) {
-                // SAFETY: forwarded contract.
-                unsafe { self.0.lock(node) }
-            }
-
-            unsafe fn unlock(&self, node: &Self::Node) {
-                // SAFETY: forwarded contract.
-                unsafe { self.0.unlock(node) }
-            }
-        }
-    };
+/// C-TKT-TKT under the model family: 2 sockets, batch budget 1.
+pub fn model_c_tkt_tkt() -> CTktTktLock<ModelAtomics> {
+    CTktTktLock::with_sockets_in(2, 1)
 }
 
-pinned_model_lock!(
-    /// C-BO-MCS under the model family: 2 sockets, batch budget 1.
-    ModelCBoMcs,
-    CBoMcsLock,
-    1
-);
-pinned_model_lock!(
-    /// C-TKT-TKT under the model family: 2 sockets, batch budget 1.
-    ModelCTktTkt,
-    CTktTktLock,
-    1
-);
-pinned_model_lock!(
-    /// C-PTL-TKT under the model family: 2 sockets, batch budget 1.
-    ModelCPtlTkt,
-    CPtlTktLock,
-    1
-);
-pinned_model_lock!(
-    /// HMCS under the model family: 2 sockets, pass threshold 2.
-    ModelHmcs,
-    HmcsLock,
-    2
-);
+/// C-PTL-TKT under the model family: 2 sockets, batch budget 1.
+pub fn model_c_ptl_tkt() -> CPtlTktLock<ModelAtomics> {
+    CPtlTktLock::with_sockets_in(2, 1)
+}
 
-/// Runs the named lock's smoke scenario (`threads` threads, one acquisition
-/// each) under [`Config::from_env`] and panics with the counterexample on a
+/// HMCS under the model family: 2 sockets, pass threshold 2.
+pub fn model_hmcs() -> HmcsLock<ModelAtomics> {
+    HmcsLock::with_sockets_in(2, 2)
+}
+
+/// Explores one smoke row: takes the row's name and a thread count, returns
+/// the explored-schedule count.
+pub type SmokeRun = fn(&str, usize) -> u64;
+
+/// The smoke matrix: every lock [`run_smoke`] explores, each with the
+/// function that explores it. `lockbench list` marks a registered lock
+/// `checked` when its name has a row here.
+pub const SMOKE: &[(&str, SmokeRun)] = &[
+    ("tas", |n, t| smoke(n, ModelTas::default, t)),
+    ("ticket", |n, t| smoke(n, ModelTicket::default, t)),
+    ("ptl", |n, t| smoke(n, ModelPtl::default, t)),
+    ("clh", |n, t| smoke(n, ModelClh::default, t)),
+    ("mcs", |n, t| smoke(n, ModelMcs::default, t)),
+    ("cna", |n, t| smoke(n, ModelCna::default, t)),
+    ("cna-always-flush", |n, t| {
+        smoke(n, ModelCnaAlwaysFlush::default, t)
+    }),
+    ("cna-never-flush", |n, t| {
+        smoke(n, ModelCnaNeverFlush::default, t)
+    }),
+    ("cna-opt", |n, t| smoke(n, ModelCnaOpt::default, t)),
+    ("ttas-bo", |n, t| smoke(n, ModelTtasBackoff::default, t)),
+    ("hbo", |n, t| smoke(n, ModelHbo::default, t)),
+    ("c-bo-mcs", |n, t| smoke(n, model_c_bo_mcs, t)),
+    ("c-tkt-tkt", |n, t| smoke(n, model_c_tkt_tkt, t)),
+    ("c-ptl-tkt", |n, t| smoke(n, model_c_ptl_tkt, t)),
+    ("hmcs", |n, t| smoke(n, model_hmcs, t)),
+    ("fissile", |n, t| smoke(n, ModelFissile::default, t)),
+    ("mcscr", |n, t| smoke(n, model_mcscr, t)),
+];
+
+/// Runs the named [`SMOKE`] row (`threads` threads, one acquisition each)
+/// under [`Config::from_env`] and panics with the counterexample on a
 /// violation. Returns the explored-schedule count.
 pub fn run_smoke(name: &str, threads: usize) -> u64 {
-    fn go<L: RawLock + 'static>(name: &str, threads: usize) -> u64 {
-        let cfg = Config::from_env(name);
-        let report = explore(&cfg, &raw_lock_scenario::<L>(name, threads, 1));
-        report.assert_ok();
-        report.schedules
-    }
-    match name {
-        "tas" => go::<ModelTas>(name, threads),
-        "ticket" => go::<ModelTicket>(name, threads),
-        "ptl" => go::<ModelPtl>(name, threads),
-        "clh" => go::<ModelClh>(name, threads),
-        "mcs" => go::<ModelMcs>(name, threads),
-        "cna" => go::<ModelCna>(name, threads),
-        "cna-always-flush" => go::<ModelCnaAlwaysFlush>(name, threads),
-        "cna-never-flush" => go::<ModelCnaNeverFlush>(name, threads),
-        "cna-opt" => go::<ModelCnaOpt>(name, threads),
-        "ttas-bo" => go::<ModelTtasBackoff>(name, threads),
-        "hbo" => go::<ModelHbo>(name, threads),
-        "c-bo-mcs" => go::<ModelCBoMcs>(name, threads),
-        "c-tkt-tkt" => go::<ModelCTktTkt>(name, threads),
-        "c-ptl-tkt" => go::<ModelCPtlTkt>(name, threads),
-        "hmcs" => go::<ModelHmcs>(name, threads),
-        "fissile" => go::<ModelFissile>(name, threads),
-        "mcscr" => go::<ModelMcscr>(name, threads),
-        other => panic!("unknown smoke scenario {other:?}"),
-    }
+    let (name, run) = SMOKE
+        .iter()
+        .find(|(row, _)| *row == name)
+        .unwrap_or_else(|| panic!("unknown smoke scenario {name:?}"));
+    run(name, threads)
 }
 
-/// Names accepted by [`run_smoke`] — the CI smoke matrix.
-pub const SMOKE_LOCKS: &[&str] = &[
-    "tas",
-    "ticket",
-    "ptl",
-    "clh",
-    "mcs",
-    "cna",
-    "cna-always-flush",
-    "cna-never-flush",
-    "cna-opt",
-    "ttas-bo",
-    "hbo",
-    "c-bo-mcs",
-    "c-tkt-tkt",
-    "c-ptl-tkt",
-    "hmcs",
-    "fissile",
-    "mcscr",
-];
+fn smoke<L: RawLock + 'static>(name: &str, new: fn() -> L, threads: usize) -> u64 {
+    let report = explore(
+        &Config::from_env(name),
+        &raw_lock_scenario(name, new, threads, 1),
+    );
+    report.assert_ok();
+    report.schedules
+}
 
 /// The verdict of mutating one ordering site to `Relaxed`.
 #[derive(Debug, Clone)]
@@ -471,14 +414,20 @@ mod tests {
 
     #[test]
     fn tas_two_threads_holds_mutual_exclusion() {
-        let r = explore(&quick("tas2"), &raw_lock_scenario::<ModelTas>("tas", 2, 1));
+        let r = explore(
+            &quick("tas2"),
+            &raw_lock_scenario("tas", ModelTas::default, 2, 1),
+        );
         r.assert_ok();
         assert!(r.schedules > 1, "explored more than one interleaving");
     }
 
     #[test]
     fn mcs_two_threads_holds_mutual_exclusion() {
-        let r = explore(&quick("mcs2"), &raw_lock_scenario::<ModelMcs>("mcs", 2, 1));
+        let r = explore(
+            &quick("mcs2"),
+            &raw_lock_scenario("mcs", ModelMcs::default, 2, 1),
+        );
         r.assert_ok();
         assert!(!r.sites.is_empty(), "sites were recorded");
     }
@@ -517,21 +466,16 @@ mod tests {
     #[test]
     fn deadlock_is_detected() {
         // Thread 0 locks and never unlocks; thread 1 parks forever.
-        let scenario = Scenario::new("deadlock", || RawState {
-            lock: ModelTas::default(),
-            nodes: vec![<ModelTas as RawLock>::Node::default(); 2],
-            cs: CriticalSection::new(),
-            counter: Data::new(0),
-        })
-        // SAFETY(test): pinned nodes; the unmatched lock is the point.
-        .thread(|s: &RawState<ModelTas>, _| unsafe {
-            s.lock.lock(&s.nodes[0]);
-        })
-        // SAFETY(test): pinned node, matched pair.
-        .thread(|s: &RawState<ModelTas>, _| unsafe {
-            s.lock.lock(&s.nodes[1]);
-            s.lock.unlock(&s.nodes[1]);
-        });
+        let scenario = Scenario::new("deadlock", || RawState::new(ModelTas::default(), 2))
+            // SAFETY(test): pinned nodes; the unmatched lock is the point.
+            .thread(|s: &RawState<ModelTas>, _| unsafe {
+                s.lock.lock(&s.nodes[0]);
+            })
+            // SAFETY(test): pinned node, matched pair.
+            .thread(|s: &RawState<ModelTas>, _| unsafe {
+                s.lock.lock(&s.nodes[1]);
+                s.lock.unlock(&s.nodes[1]);
+            });
         let r = explore(&quick("dl"), &scenario);
         let v = r.expect_violation();
         assert!(
@@ -545,7 +489,7 @@ mod tests {
     fn ttas_backoff_two_threads_holds_mutual_exclusion() {
         let r = explore(
             &quick("ttas2"),
-            &raw_lock_scenario::<ModelTtasBackoff>("ttas-bo", 2, 1),
+            &raw_lock_scenario("ttas-bo", ModelTtasBackoff::default, 2, 1),
         );
         r.assert_ok();
         assert!(r.schedules > 1);
@@ -553,7 +497,10 @@ mod tests {
 
     #[test]
     fn hbo_two_threads_holds_mutual_exclusion() {
-        let r = explore(&quick("hbo2"), &raw_lock_scenario::<ModelHbo>("hbo", 2, 1));
+        let r = explore(
+            &quick("hbo2"),
+            &raw_lock_scenario("hbo", ModelHbo::default, 2, 1),
+        );
         r.assert_ok();
     }
 
@@ -561,7 +508,7 @@ mod tests {
     fn c_bo_mcs_two_threads_holds_mutual_exclusion() {
         let r = explore(
             &quick("cbomcs2"),
-            &raw_lock_scenario::<ModelCBoMcs>("c-bo-mcs", 2, 1),
+            &raw_lock_scenario("c-bo-mcs", model_c_bo_mcs, 2, 1),
         );
         r.assert_ok();
     }
@@ -570,7 +517,7 @@ mod tests {
     fn hmcs_two_threads_holds_mutual_exclusion() {
         let r = explore(
             &quick("hmcs2"),
-            &raw_lock_scenario::<ModelHmcs>("hmcs", 2, 1),
+            &raw_lock_scenario("hmcs", model_hmcs, 2, 1),
         );
         r.assert_ok();
     }
@@ -579,7 +526,7 @@ mod tests {
     fn fissile_two_threads_holds_mutual_exclusion() {
         let r = explore(
             &quick("fissile2"),
-            &raw_lock_scenario::<ModelFissile>("fissile", 2, 1),
+            &raw_lock_scenario("fissile", ModelFissile::default, 2, 1),
         );
         r.assert_ok();
         assert!(r.schedules > 1);
@@ -591,7 +538,7 @@ mod tests {
         // two iterations force queue traffic and the head handoff.
         let r = explore(
             &quick("fissile2x2"),
-            &raw_lock_scenario::<ModelFissile>("fissile", 2, 2),
+            &raw_lock_scenario("fissile", ModelFissile::default, 2, 2),
         );
         r.assert_ok();
     }
@@ -600,7 +547,7 @@ mod tests {
     fn mcscr_two_threads_holds_mutual_exclusion() {
         let r = explore(
             &quick("mcscr2"),
-            &raw_lock_scenario::<ModelMcscr>("mcscr", 2, 1),
+            &raw_lock_scenario("mcscr", model_mcscr, 2, 1),
         );
         r.assert_ok();
         assert!(r.schedules > 1);
@@ -608,11 +555,11 @@ mod tests {
 
     #[test]
     fn mcscr_two_threads_two_iters_reaches_recirculation() {
-        // recirc_every is pinned to 1 in ModelMcscr, so repeated releases
+        // recirc_every is pinned to 1 in model_mcscr, so repeated releases
         // drive the cull/promote/recirculate paths inside the bounded tree.
         let r = explore(
             &quick("mcscr2x2"),
-            &raw_lock_scenario::<ModelMcscr>("mcscr", 2, 2),
+            &raw_lock_scenario("mcscr", model_mcscr, 2, 2),
         );
         r.assert_ok();
     }
@@ -638,12 +585,15 @@ mod tests {
 
     #[test]
     fn mcs_handoff_weakened_to_relaxed_is_caught() {
-        let clean = explore(&quick("mcs-a"), &raw_lock_scenario::<ModelMcs>("mcs", 2, 1));
+        let clean = explore(
+            &quick("mcs-a"),
+            &raw_lock_scenario("mcs", ModelMcs::default, 2, 1),
+        );
         clean.assert_ok();
         let site =
             find_site(&clean.sites, "mcs.rs", "store", "Release").expect("mcs handoff store site");
         let cfg = quick("mcs-mut").with_mutation(Mutation::at(site.file, site.line));
-        let r = explore(&cfg, &raw_lock_scenario::<ModelMcs>("mcs", 2, 1));
+        let r = explore(&cfg, &raw_lock_scenario("mcs", ModelMcs::default, 2, 1));
         let v = r.expect_violation();
         assert!(v.trace.contains("MUTATED->Relaxed"), "{}", v.trace);
         assert!(v.minimized_events <= v.original_events);

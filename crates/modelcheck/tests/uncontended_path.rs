@@ -35,7 +35,7 @@ fn sites_at<L: RawLock + 'static>(
     let mut cfg = Config::smoke(name);
     cfg.trace_dir = None;
     cfg.preemption_bound = Some(bound);
-    let report = explore(&cfg, &raw_lock_scenario::<L>(name, threads, 1));
+    let report = explore(&cfg, &raw_lock_scenario(name, L::default, threads, 1));
     report.assert_ok();
     assert!(
         report.complete,

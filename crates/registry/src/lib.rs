@@ -1,18 +1,22 @@
 //! The lock registry: every evaluated algorithm, addressable by name.
 //!
 //! This crate is the workspace's equivalent of LiTL's interposition table
-//! (§7 of the paper): one [`LockId`] per evaluated algorithm, a factory that
-//! turns an id into a runtime-dispatched [`DynLock`], and the total mapping
-//! onto the simulator's [`LockAlgorithm`] policy models. The harness, the
-//! kernel substrates, the storage substrates, the figure table and the
-//! `lockbench` CLI all consume this table, so adding a lock algorithm means
-//! registering it **here, once** — every workload can then drive it by name.
+//! (§7 of the paper): one [`LockId`] per evaluated algorithm and one row per
+//! id in one table. A row holds what only a person can say about the
+//! lock — its name, description, fairness class, NUMA-awareness, simulator
+//! model and `parse` aliases — and the factory that builds it. Everything
+//! the built lock knows itself (its plot label, its size, whether it has a
+//! non-blocking path) is read off the [`DynLock`] the factory returns. The
+//! harness, the kernel substrates, the storage substrates, the figure table
+//! and the `lockbench` CLI all consume this table, so adding a lock
+//! algorithm means adding **one row here** — every workload can then drive
+//! it by name.
 //!
-//! * `LockId::ALL` — the canonical list (both qspinlock slow paths and the
-//!   §6 "CNA (opt)" variant included).
+//! * `LockId::ALL` — the canonical list, derived from the table (both
+//!   qspinlock slow paths and the §6 "CNA (opt)" variant included).
 //! * [`LockId::build`] — `LockId → DynLock` (the type-erased real lock).
 //! * [`LockId::sim_algorithm`] — `LockId → LockAlgorithm` (the simulator
-//!   policy model); total by construction, checked by tests.
+//!   policy model); total by construction.
 //! * [`LockId::parse`] / [`std::fmt::Display`] — name ⇄ id round-tripping.
 //! * [`ambient`] — LiTL-style process-wide selection for driving *generic*
 //!   substrates (`FilesStruct<L>`, `Db<L>`, …) with a runtime-chosen lock.
@@ -147,288 +151,307 @@ impl fmt::Display for UnknownLockError {
 
 impl std::error::Error for UnknownLockError {}
 
+/// One registered algorithm: the facts about it that its built lock cannot
+/// report, and the factory that builds it.
+struct Row {
+    id: LockId,
+    /// Canonical, unique, parseable name (the `lockbench --lock` token).
+    name: &'static str,
+    /// One line for `lockbench list`.
+    description: &'static str,
+    fairness: FairnessClass,
+    /// Whether the hand-over policy prefers same-socket successors.
+    numa_aware: bool,
+    /// The simulator policy model. Algorithms whose *admission order*
+    /// coincides share one: CLH and the stock qspinlock grant strictly FIFO
+    /// like MCS, PTL admits like a ticket lock, TTAS-backoff races like TAS,
+    /// and the CNA-slow-path qspinlock admits like CNA.
+    sim: LockAlgorithm,
+    /// Further names [`LockId::parse`] accepts, in its normalised form.
+    aliases: &'static [&'static str],
+    /// `DynLock::new_try::<T>` for a [`RawTryLock`](sync_core::RawTryLock),
+    /// `DynLock::new::<T>` otherwise. Written out literally, so `cnalint`'s
+    /// `lock-word-compactness` rule can find every registered type.
+    build: fn() -> DynLock,
+}
+
+/// The registry, in `LockId` declaration order (asserted below).
+static TABLE: [Row; 17] = [
+    Row {
+        id: LockId::Tas,
+        name: "tas",
+        description: "test-and-set spin lock (§2 baseline)",
+        fairness: FairnessClass::None,
+        numa_aware: false,
+        sim: LockAlgorithm::Tas,
+        aliases: &["test-and-set"],
+        build: DynLock::new_try::<TestAndSetLock>,
+    },
+    Row {
+        id: LockId::TtasBackoff,
+        name: "ttas-bo",
+        description: "test-and-test-and-set with exponential backoff",
+        fairness: FairnessClass::None,
+        numa_aware: false,
+        sim: LockAlgorithm::Tas,
+        aliases: &["ttas", "backoff"],
+        build: DynLock::new_try::<TtasBackoffLock>,
+    },
+    Row {
+        id: LockId::Ticket,
+        name: "ticket",
+        description: "ticket lock (FIFO, global spinning)",
+        fairness: FairnessClass::Fifo,
+        numa_aware: false,
+        sim: LockAlgorithm::Ticket,
+        aliases: &["tkt"],
+        build: DynLock::new_try::<TicketLock>,
+    },
+    Row {
+        id: LockId::PartitionedTicket,
+        name: "ptl",
+        description: "partitioned ticket lock (FIFO, distributed grants)",
+        fairness: FairnessClass::Fifo,
+        numa_aware: false,
+        sim: LockAlgorithm::Ticket,
+        aliases: &["partitioned-ticket"],
+        build: DynLock::new::<PartitionedTicketLock>,
+    },
+    Row {
+        id: LockId::Clh,
+        name: "clh",
+        description: "CLH queue lock (implicit predecessor queue)",
+        fairness: FairnessClass::Fifo,
+        numa_aware: false,
+        sim: LockAlgorithm::Mcs,
+        aliases: &[],
+        build: DynLock::new::<ClhLock>,
+    },
+    Row {
+        id: LockId::Mcs,
+        name: "mcs",
+        description: "MCS queue lock (the paper's main baseline)",
+        fairness: FairnessClass::Fifo,
+        numa_aware: false,
+        sim: LockAlgorithm::Mcs,
+        aliases: &[],
+        build: DynLock::new::<McsLock>,
+    },
+    Row {
+        id: LockId::Hbo,
+        name: "hbo",
+        description: "hierarchical backoff lock (NUMA-aware, unfair)",
+        fairness: FairnessClass::None,
+        numa_aware: true,
+        sim: LockAlgorithm::Hbo,
+        aliases: &[],
+        build: DynLock::new_try::<HboLock>,
+    },
+    Row {
+        id: LockId::CBoMcs,
+        name: "c-bo-mcs",
+        description: "cohort lock: backoff global / MCS locals",
+        fairness: FairnessClass::CohortBounded,
+        numa_aware: true,
+        sim: LockAlgorithm::CBoMcs,
+        aliases: &["cohort"],
+        build: DynLock::new::<CBoMcsLock>,
+    },
+    Row {
+        id: LockId::CTktTkt,
+        name: "c-tkt-tkt",
+        description: "cohort lock: ticket global / ticket locals",
+        fairness: FairnessClass::CohortBounded,
+        numa_aware: true,
+        sim: LockAlgorithm::CTktTkt,
+        aliases: &[],
+        build: DynLock::new::<CTktTktLock>,
+    },
+    Row {
+        id: LockId::CPtlTkt,
+        name: "c-ptl-tkt",
+        description: "cohort lock: partitioned-ticket global / ticket locals",
+        fairness: FairnessClass::CohortBounded,
+        numa_aware: true,
+        sim: LockAlgorithm::CPtlTkt,
+        aliases: &[],
+        build: DynLock::new::<CPtlTktLock>,
+    },
+    Row {
+        id: LockId::Hmcs,
+        name: "hmcs",
+        description: "two-level hierarchical MCS",
+        fairness: FairnessClass::CohortBounded,
+        numa_aware: true,
+        sim: LockAlgorithm::Hmcs,
+        aliases: &[],
+        build: DynLock::new::<HmcsLock>,
+    },
+    Row {
+        id: LockId::Cna,
+        name: "cna",
+        description: "compact NUMA-aware lock (the paper's algorithm)",
+        fairness: FairnessClass::EpochBounded,
+        numa_aware: true,
+        sim: LockAlgorithm::Cna,
+        aliases: &[],
+        build: DynLock::new::<CnaLock>,
+    },
+    Row {
+        id: LockId::CnaOpt,
+        name: "cna-opt",
+        description: "CNA with the §6 shuffle-reduction optimisation",
+        fairness: FairnessClass::EpochBounded,
+        numa_aware: true,
+        sim: LockAlgorithm::CnaOpt,
+        aliases: &["cna-sr", "cnaopt"],
+        build: DynLock::new::<CnaLockOpt>,
+    },
+    Row {
+        id: LockId::QSpinStock,
+        name: "qspinlock-stock",
+        description: "4-byte kernel qspinlock, stock MCS slow path",
+        fairness: FairnessClass::Fifo,
+        numa_aware: false,
+        sim: LockAlgorithm::Mcs,
+        aliases: &["stock", "qspinlock"],
+        build: DynLock::new_try::<StockQSpinLock>,
+    },
+    Row {
+        id: LockId::QSpinCna,
+        name: "qspinlock-cna",
+        description: "4-byte kernel qspinlock, CNA slow path (the paper's patch)",
+        fairness: FairnessClass::EpochBounded,
+        numa_aware: true,
+        sim: LockAlgorithm::Cna,
+        aliases: &["qspinlock-opt"],
+        build: DynLock::new_try::<CnaQSpinLock>,
+    },
+    Row {
+        id: LockId::Fissile,
+        name: "fissile",
+        description: "Fissile lock: TS fast path + MCS slow path, bounded barging",
+        fairness: FairnessClass::None,
+        numa_aware: false,
+        sim: LockAlgorithm::Fissile,
+        aliases: &[],
+        build: DynLock::new_try::<FissileLock>,
+    },
+    // MCSCR recirculates passive waiters back into the active set on a fixed
+    // release cadence — long-term (not short-term) fairness, structurally the
+    // same guarantee CNA's epochs give.
+    Row {
+        id: LockId::Mcscr,
+        name: "mcscr",
+        description: "concurrency-restricting MCS (bounded active set, passive list)",
+        fairness: FairnessClass::EpochBounded,
+        numa_aware: false,
+        sim: LockAlgorithm::Mcscr,
+        aliases: &["cr", "mcs-cr"],
+        build: DynLock::new::<McsCrLock>,
+    },
+];
+
+// Row `i` is the row of the id whose discriminant is `i`, so a field read is
+// one index and `LockId::ALL` lists the ids in declaration order.
+const _: () = {
+    let mut i = 0;
+    while i < TABLE.len() {
+        assert!(
+            TABLE[i].id as usize == i,
+            "registry rows out of LockId order"
+        );
+        i += 1;
+    }
+};
+
 impl LockId {
-    /// All registered algorithms, in the order `lockbench list` prints them.
-    pub const ALL: [LockId; 17] = [
-        LockId::Tas,
-        LockId::TtasBackoff,
-        LockId::Ticket,
-        LockId::PartitionedTicket,
-        LockId::Clh,
-        LockId::Mcs,
-        LockId::Hbo,
-        LockId::CBoMcs,
-        LockId::CTktTkt,
-        LockId::CPtlTkt,
-        LockId::Hmcs,
-        LockId::Cna,
-        LockId::CnaOpt,
-        LockId::QSpinStock,
-        LockId::QSpinCna,
-        LockId::Fissile,
-        LockId::Mcscr,
-    ];
+    /// All registered algorithms, in the order `lockbench list` prints them:
+    /// the ids of the table's rows.
+    pub const ALL: [LockId; 17] = {
+        let mut all = [LockId::Tas; TABLE.len()];
+        let mut i = 0;
+        while i < all.len() {
+            all[i] = TABLE[i].id;
+            i += 1;
+        }
+        all
+    };
+
+    const fn row(self) -> &'static Row {
+        &TABLE[self as usize]
+    }
 
     /// Canonical, unique, parseable name (the `lockbench --lock` token).
     pub const fn name(self) -> &'static str {
-        match self {
-            LockId::Tas => "tas",
-            LockId::TtasBackoff => "ttas-bo",
-            LockId::Ticket => "ticket",
-            LockId::PartitionedTicket => "ptl",
-            LockId::Clh => "clh",
-            LockId::Mcs => "mcs",
-            LockId::Hbo => "hbo",
-            LockId::CBoMcs => "c-bo-mcs",
-            LockId::CTktTkt => "c-tkt-tkt",
-            LockId::CPtlTkt => "c-ptl-tkt",
-            LockId::Hmcs => "hmcs",
-            LockId::Cna => "cna",
-            LockId::CnaOpt => "cna-opt",
-            LockId::QSpinStock => "qspinlock-stock",
-            LockId::QSpinCna => "qspinlock-cna",
-            LockId::Fissile => "fissile",
-            LockId::Mcscr => "mcscr",
-        }
-    }
-
-    /// The [`RawLock::NAME`](sync_core::RawLock::NAME) of the underlying
-    /// implementation — the label used in the paper's plots. Not unique:
-    /// both [`LockId::Cna`] and [`LockId::QSpinCna`] are plotted as "CNA".
-    pub const fn raw_name(self) -> &'static str {
-        match self {
-            LockId::Tas => "TAS",
-            LockId::TtasBackoff => "TTAS-BO",
-            LockId::Ticket => "Ticket",
-            LockId::PartitionedTicket => "PTL",
-            LockId::Clh => "CLH",
-            LockId::Mcs => "MCS",
-            LockId::Hbo => "HBO",
-            LockId::CBoMcs => "C-BO-MCS",
-            LockId::CTktTkt => "C-TKT-TKT",
-            LockId::CPtlTkt => "C-PTL-TKT",
-            LockId::Hmcs => "HMCS",
-            LockId::Cna => "CNA",
-            LockId::CnaOpt => "CNA (opt)",
-            LockId::QSpinStock => "stock",
-            LockId::QSpinCna => "CNA",
-            LockId::Fissile => "Fissile",
-            LockId::Mcscr => "MCSCR",
-        }
+        self.row().name
     }
 
     /// One-line description for `lockbench list`.
     pub const fn description(self) -> &'static str {
-        match self {
-            LockId::Tas => "test-and-set spin lock (§2 baseline)",
-            LockId::TtasBackoff => "test-and-test-and-set with exponential backoff",
-            LockId::Ticket => "ticket lock (FIFO, global spinning)",
-            LockId::PartitionedTicket => "partitioned ticket lock (FIFO, distributed grants)",
-            LockId::Clh => "CLH queue lock (implicit predecessor queue)",
-            LockId::Mcs => "MCS queue lock (the paper's main baseline)",
-            LockId::Hbo => "hierarchical backoff lock (NUMA-aware, unfair)",
-            LockId::CBoMcs => "cohort lock: backoff global / MCS locals",
-            LockId::CTktTkt => "cohort lock: ticket global / ticket locals",
-            LockId::CPtlTkt => "cohort lock: partitioned-ticket global / ticket locals",
-            LockId::Hmcs => "two-level hierarchical MCS",
-            LockId::Cna => "compact NUMA-aware lock (the paper's algorithm)",
-            LockId::CnaOpt => "CNA with the §6 shuffle-reduction optimisation",
-            LockId::QSpinStock => "4-byte kernel qspinlock, stock MCS slow path",
-            LockId::QSpinCna => "4-byte kernel qspinlock, CNA slow path (the paper's patch)",
-            LockId::Fissile => "Fissile lock: TS fast path + MCS slow path, bounded barging",
-            LockId::Mcscr => "concurrency-restricting MCS (bounded active set, passive list)",
-        }
-    }
-
-    /// Whether the lock's shared state is a single word (or the kernel's
-    /// four bytes) independent of the socket count — the paper's compactness
-    /// criterion. A compact lock is stored in place in the [`DynLock`]
-    /// [`build`](Self::build) returns; the others are boxed.
-    pub const fn is_compact(self) -> bool {
-        !matches!(
-            self,
-            LockId::CBoMcs | LockId::CTktTkt | LockId::CPtlTkt | LockId::Hmcs
-        ) && !matches!(
-            self,
-            LockId::PartitionedTicket | LockId::Fissile | LockId::Mcscr
-        )
-    }
-
-    /// Expected size of the lock struct in bytes — the paper's compactness
-    /// measure, pinned here so a refactor that bloats a lock word fails the
-    /// smoke matrix (`tests/compactness.rs` asserts this against
-    /// [`DynLock::lock_size`] for every registered algorithm).
-    ///
-    /// Word-sized locks store `usize`/smaller shared state inline, and a
-    /// [`DynLock`] stores such a lock in place, so that is what it adds to
-    /// the object holding it; the hierarchical locks count their top-level
-    /// struct, which a `DynLock` boxes (per-socket state behind pointers is
-    /// extra, which is exactly the paper's point).
-    pub const fn compactness(self) -> usize {
-        match self {
-            LockId::Tas | LockId::TtasBackoff => 1,
-            LockId::QSpinStock | LockId::QSpinCna => 4,
-            LockId::Ticket
-            | LockId::Clh
-            | LockId::Mcs
-            | LockId::Hbo
-            | LockId::Cna
-            | LockId::CnaOpt => 8,
-            LockId::Fissile => 16,
-            LockId::PartitionedTicket | LockId::CBoMcs => 24,
-            LockId::CTktTkt | LockId::Hmcs => 32,
-            LockId::Mcscr => 40,
-            LockId::CPtlTkt => 48,
-        }
+        self.row().description
     }
 
     /// The long-term fairness guarantee of the hand-over policy (§4).
     pub const fn fairness_class(self) -> FairnessClass {
-        match self {
-            LockId::Tas | LockId::TtasBackoff | LockId::Hbo | LockId::Fissile => {
-                FairnessClass::None
-            }
-            LockId::Ticket
-            | LockId::PartitionedTicket
-            | LockId::Clh
-            | LockId::Mcs
-            | LockId::QSpinStock => FairnessClass::Fifo,
-            LockId::CBoMcs | LockId::CTktTkt | LockId::CPtlTkt | LockId::Hmcs => {
-                FairnessClass::CohortBounded
-            }
-            // MCSCR recirculates passive waiters back into the active set on
-            // a fixed release cadence — long-term (not short-term) fairness,
-            // structurally the same guarantee CNA's epochs give.
-            LockId::Cna | LockId::CnaOpt | LockId::QSpinCna | LockId::Mcscr => {
-                FairnessClass::EpochBounded
-            }
-        }
+        self.row().fairness
     }
 
     /// Whether the hand-over policy prefers same-socket successors.
     pub const fn is_numa_aware(self) -> bool {
-        matches!(
-            self,
-            LockId::Hbo
-                | LockId::CBoMcs
-                | LockId::CTktTkt
-                | LockId::CPtlTkt
-                | LockId::Hmcs
-                | LockId::Cna
-                | LockId::CnaOpt
-                | LockId::QSpinCna
-        )
+        self.row().numa_aware
     }
 
-    /// Whether [`DynLock::try_lock`] has a real non-blocking path for this
-    /// algorithm (i.e. the implementation provides
-    /// [`RawTryLock`](sync_core::RawTryLock)).
-    pub const fn supports_try_lock(self) -> bool {
-        matches!(
-            self,
-            LockId::Tas
-                | LockId::TtasBackoff
-                | LockId::Ticket
-                | LockId::Hbo
-                | LockId::QSpinStock
-                | LockId::QSpinCna
-                | LockId::Fissile
-        )
-    }
-
-    /// Whether the lock's source is covered by the `modelcheck` interleaving
-    /// explorer (its smoke suite instantiates the implementation with
-    /// `ModelAtomics` and exhausts the bounded 2-thread tree in CI).
-    ///
-    /// Every lock wired through the generic
-    /// [`Atomics`](sync_core::atomics::Atomics) family is checked — all but
-    /// the qspinlocks, which hold their queue nodes in a global per-CPU
-    /// static table and so cannot be instantiated with an instrumented
-    /// atomic family.
-    pub const fn is_model_checked(self) -> bool {
-        !matches!(self, LockId::QSpinStock | LockId::QSpinCna)
-    }
-
-    /// Whether the lock's source falls in the `cnalint` audit scope: every
-    /// `Ordering::` site of the implementation is cross-checked against the
-    /// machine-readable table in `docs/orderings.md` (rule
-    /// `ordering-audit-drift`), alongside the rest of the lock-discipline
-    /// rules. Every registered lock is: the qspinlocks' crate is in the
-    /// scope too, and their CNA hand-over is `cna::raw`'s.
-    pub const fn is_linted(self) -> bool {
-        true
+    /// The simulator policy model of this algorithm — the total mapping
+    /// `LockId → LockAlgorithm`.
+    pub const fn sim_algorithm(self) -> LockAlgorithm {
+        self.row().sim
     }
 
     /// Builds the type-erased real lock — the `LockId → DynLock` factory.
     pub fn build(self) -> DynLock {
-        match self {
-            LockId::Tas => DynLock::new_try::<TestAndSetLock>(),
-            LockId::TtasBackoff => DynLock::new_try::<TtasBackoffLock>(),
-            LockId::Ticket => DynLock::new_try::<TicketLock>(),
-            LockId::PartitionedTicket => DynLock::new::<PartitionedTicketLock>(),
-            LockId::Clh => DynLock::new::<ClhLock>(),
-            LockId::Mcs => DynLock::new::<McsLock>(),
-            LockId::Hbo => DynLock::new_try::<HboLock>(),
-            LockId::CBoMcs => DynLock::new::<CBoMcsLock>(),
-            LockId::CTktTkt => DynLock::new::<CTktTktLock>(),
-            LockId::CPtlTkt => DynLock::new::<CPtlTktLock>(),
-            LockId::Hmcs => DynLock::new::<HmcsLock>(),
-            LockId::Cna => DynLock::new::<CnaLock>(),
-            LockId::CnaOpt => DynLock::new::<CnaLockOpt>(),
-            LockId::QSpinStock => DynLock::new_try::<StockQSpinLock>(),
-            LockId::QSpinCna => DynLock::new_try::<CnaQSpinLock>(),
-            LockId::Fissile => DynLock::new_try::<FissileLock>(),
-            LockId::Mcscr => DynLock::new::<McsCrLock>(),
-        }
+        (self.row().build)()
     }
 
-    /// The simulator policy model of this algorithm — the total mapping
-    /// `LockId → LockAlgorithm` (real/sim drift is caught by tests).
-    ///
-    /// Algorithms whose *admission order* coincides share a model: CLH and
-    /// the stock qspinlock grant strictly FIFO like MCS, PTL admits like a
-    /// ticket lock, TTAS-backoff races like TAS, and the CNA-slow-path
-    /// qspinlock admits like CNA.
-    pub const fn sim_algorithm(self) -> LockAlgorithm {
-        match self {
-            LockId::Tas | LockId::TtasBackoff => LockAlgorithm::Tas,
-            LockId::Ticket | LockId::PartitionedTicket => LockAlgorithm::Ticket,
-            LockId::Clh | LockId::Mcs | LockId::QSpinStock => LockAlgorithm::Mcs,
-            LockId::Hbo => LockAlgorithm::Hbo,
-            LockId::CBoMcs => LockAlgorithm::CBoMcs,
-            LockId::CTktTkt => LockAlgorithm::CTktTkt,
-            LockId::CPtlTkt => LockAlgorithm::CPtlTkt,
-            LockId::Hmcs => LockAlgorithm::Hmcs,
-            LockId::Cna | LockId::QSpinCna => LockAlgorithm::Cna,
-            LockId::CnaOpt => LockAlgorithm::CnaOpt,
-            LockId::Fissile => LockAlgorithm::Fissile,
-            LockId::Mcscr => LockAlgorithm::Mcscr,
-        }
+    /// The [`RawLock::NAME`](sync_core::RawLock::NAME) of the built lock —
+    /// the label used in the paper's plots. Not unique: both
+    /// [`LockId::Cna`] and [`LockId::QSpinCna`] are plotted as "CNA".
+    pub fn raw_name(self) -> &'static str {
+        self.build().name()
+    }
+
+    /// `size_of` the built lock in bytes — the paper's compactness measure
+    /// (see [`DynLock::lock_size`]). `tests/compactness.rs` pins the value
+    /// for every registered type.
+    pub fn compactness(self) -> usize {
+        self.build().lock_size()
+    }
+
+    /// Whether the lock's shared state fits in a word independent of the
+    /// socket count — the paper's compactness criterion. A compact lock is
+    /// stored in place in the [`DynLock`] [`build`](Self::build) returns;
+    /// the others are boxed.
+    pub fn is_compact(self) -> bool {
+        self.compactness() <= std::mem::size_of::<usize>()
+    }
+
+    /// Whether [`DynLock::try_lock`] has a real non-blocking path: the row
+    /// builds its lock through `DynLock::new_try`.
+    pub fn supports_try_lock(self) -> bool {
+        self.build().supports_try_lock()
     }
 
     /// Parses a lock name (canonical names plus a few common aliases),
     /// case-insensitively.
     pub fn parse(name: &str) -> Result<LockId, UnknownLockError> {
         let normalized: String = name.trim().to_ascii_lowercase().replace(['_', ' '], "-");
-        for id in LockId::ALL {
-            if id.name() == normalized {
-                return Ok(id);
-            }
-        }
-        match normalized.as_str() {
-            "test-and-set" => Ok(LockId::Tas),
-            "ttas" | "backoff" => Ok(LockId::TtasBackoff),
-            "tkt" => Ok(LockId::Ticket),
-            "partitioned-ticket" => Ok(LockId::PartitionedTicket),
-            "cohort" => Ok(LockId::CBoMcs),
-            "cna-sr" | "cnaopt" => Ok(LockId::CnaOpt),
-            "stock" | "qspinlock" => Ok(LockId::QSpinStock),
-            "qspinlock-opt" => Ok(LockId::QSpinCna),
-            "cr" | "mcs-cr" => Ok(LockId::Mcscr),
-            _ => Err(UnknownLockError {
+        TABLE
+            .iter()
+            .find(|row| row.name == normalized || row.aliases.contains(&normalized.as_str()))
+            .map(|row| row.id)
+            .ok_or_else(|| UnknownLockError {
                 name: name.to_string(),
-            }),
-        }
+            })
     }
 
     /// Parses a comma-separated list of lock names; `"all"` selects every
@@ -491,6 +514,20 @@ mod tests {
         }
     }
 
+    /// `parse` takes the first row that matches, so no alias may shadow
+    /// another row's name or alias.
+    #[test]
+    fn every_alias_parses_to_its_own_row() {
+        let mut seen: HashSet<&str> = LockId::ALL.iter().map(|id| id.name()).collect();
+        for row in &TABLE {
+            for alias in row.aliases {
+                assert!(seen.insert(*alias), "{alias:?} is claimed twice");
+                assert_eq!(LockId::parse(alias).unwrap(), row.id);
+            }
+        }
+        assert_eq!(LockId::parse("Mcs_CR").unwrap(), LockId::Mcscr);
+    }
+
     #[test]
     fn unknown_names_error_and_list_the_registry() {
         let err = LockId::parse("no-such-lock").unwrap_err();
@@ -513,8 +550,8 @@ mod tests {
     /// `locks`, `cna` and `qspinlock` crates must be registered exactly
     /// once. The concrete type list below is the review gate: when a new
     /// lock export lands, add it here *and* register it, or this test names
-    /// the omission. (Diagnostic-only variants — always/never-flush CNA and
-    /// the tunable CNA — are deliberately not part of the evaluated set.)
+    /// the omission. (The diagnostic-only always/never-flush CNA parameter
+    /// types are deliberately not part of the evaluated set.)
     #[test]
     fn every_exported_lock_is_registered_exactly_once() {
         use cna::raw::CnaLockOpt;
@@ -575,21 +612,32 @@ mod tests {
         );
     }
 
+    /// The plot labels are the built locks' `RawLock::NAME`s; pin them, so a
+    /// renamed type constant cannot relabel a figure unnoticed.
     #[test]
-    fn built_locks_report_the_registered_raw_name() {
-        for id in LockId::ALL {
-            let lock = id.build();
-            assert_eq!(
-                lock.name(),
-                id.raw_name(),
-                "{id}: DynLock name drifted from the registry"
-            );
-            assert_eq!(
-                lock.supports_try_lock(),
-                id.supports_try_lock(),
-                "{id}: try-lock support drifted from the registry"
-            );
-        }
+    fn labels_are_the_papers_plot_labels() {
+        assert_eq!(
+            LockId::ALL.map(LockId::raw_name),
+            [
+                "TAS",
+                "TTAS-BO",
+                "Ticket",
+                "PTL",
+                "CLH",
+                "MCS",
+                "HBO",
+                "C-BO-MCS",
+                "C-TKT-TKT",
+                "C-PTL-TKT",
+                "HMCS",
+                "CNA",
+                "CNA (opt)",
+                "stock",
+                "CNA",
+                "Fissile",
+                "MCSCR",
+            ]
+        );
     }
 
     #[test]
@@ -659,60 +707,6 @@ mod tests {
         assert!(LockId::QSpinCna.is_compact() && LockId::QSpinCna.is_numa_aware());
         for id in LockId::ALL {
             assert!(!id.description().is_empty());
-        }
-    }
-
-    #[test]
-    fn model_checked_set_matches_the_suite_coverage() {
-        // The paper's algorithm and its main baseline are both checked.
-        assert!(LockId::Cna.is_model_checked());
-        assert!(LockId::Mcs.is_model_checked());
-        // The hierarchical and backoff locks are wired through `Atomics`.
-        assert!(LockId::CBoMcs.is_model_checked());
-        assert!(LockId::Hmcs.is_model_checked());
-        assert!(LockId::Hbo.is_model_checked());
-        // The admission-family locks are generic over `Atomics` like the rest.
-        assert!(LockId::Fissile.is_model_checked());
-        assert!(LockId::Mcscr.is_model_checked());
-        // The qspinlocks use a global per-CPU node table and cannot be
-        // instantiated with an instrumented atomic family.
-        assert!(!LockId::QSpinStock.is_model_checked());
-        assert!(!LockId::QSpinCna.is_model_checked());
-        assert_eq!(
-            LockId::ALL
-                .iter()
-                .filter(|id| id.is_model_checked())
-                .count(),
-            15
-        );
-    }
-
-    #[test]
-    fn linted_set_covers_every_lock() {
-        for id in LockId::ALL {
-            assert!(id.is_linted(), "{id}: lint-audit coverage drifted");
-        }
-    }
-
-    #[test]
-    fn compactness_matches_the_built_lock_size() {
-        for id in LockId::ALL {
-            assert_eq!(
-                id.compactness(),
-                id.build().lock_size(),
-                "{id}: registered compactness drifted from size_of"
-            );
-        }
-    }
-
-    #[test]
-    fn compactness_agrees_with_the_compact_predicate() {
-        for id in LockId::ALL {
-            assert_eq!(
-                id.is_compact(),
-                id.compactness() <= std::mem::size_of::<usize>(),
-                "{id}: is_compact() disagrees with compactness()"
-            );
         }
     }
 

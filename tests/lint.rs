@@ -4,6 +4,8 @@
 
 use std::path::PathBuf;
 
+use cna_locks::registry::LockId;
+use cnalint::rules::compact;
 use cnalint::{audit, run_check, Options};
 
 fn workspace_root() -> PathBuf {
@@ -104,5 +106,37 @@ fn audit_rewrite_round_trips_the_committed_doc() {
     assert_eq!(
         rewritten, text,
         "docs/orderings.md is not in `cnalint audit --write` normal form"
+    );
+}
+
+/// R6 must see every registry row, or `workspace_is_lint_clean` would pass
+/// vacuously for a row syntax its token matcher misses: it collects exactly
+/// one type per `LockId`, and dropping one size pin from
+/// `tests/compactness.rs` yields exactly one error, naming that type.
+#[test]
+fn deleting_a_size_pin_fails_the_compactness_gate() {
+    let mut ws = cnalint::scan::scan(&workspace_root()).unwrap();
+    let registered = compact::registered_types(&ws);
+    assert_eq!(registered.len(), LockId::ALL.len(), "{registered:#?}");
+    let mut diags = Vec::new();
+    compact::run(&ws, &mut diags);
+    assert!(diags.is_empty(), "{diags:#?}");
+
+    let pin = "assert_eq!(size_of::<CPtlTktLock>(), 48);";
+    let pins = ws
+        .files
+        .iter_mut()
+        .find(|f| f.rel == "tests/compactness.rs")
+        .expect("the size pins are scanned");
+    let text = pins.lines.join("\n");
+    assert!(text.contains(pin), "the CPtlTktLock pin moved");
+    *pins = cnalint::scan::load_source("tests/compactness.rs", &text.replace(pin, ""));
+
+    compact::run(&ws, &mut diags);
+    assert_eq!(diags.len(), 1, "{diags:#?}");
+    assert!(
+        diags[0].message.contains("`CPtlTktLock`"),
+        "{}",
+        diags[0].message
     );
 }

@@ -12,9 +12,10 @@ use cna_locks::cna::raw::{
 use cna_locks::cna::{CnaLock, CnaMutex};
 use cna_locks::harness::{run_real_contention, run_real_contention_dyn, RunConfig};
 use cna_locks::locks::{
-    CBoMcsLock, CPtlTktLock, CTktTktLock, ClhLock, HboLock, HmcsLock, McsLock,
+    CBoMcsLock, CPtlTktLock, CTktTktLock, ClhLock, FissileLock, HboLock, HmcsLock, McsLock,
     PartitionedTicketLock, TestAndSetLock, TicketLock, TtasBackoffLock,
 };
+use cna_locks::numa_topology::SocketOverrideGuard;
 use cna_locks::qspinlock::{CnaQSpinLock, StockQSpinLock};
 use cna_locks::registry::LockId;
 use cna_locks::sync_core::{DynLockMutex, LockMutex, RawLock, RawTryLock};
@@ -110,15 +111,26 @@ fn erased_try_lock_agrees_with_raw_try_lock() {
     check_generic_try::<HboLock>();
     check_generic_try::<StockQSpinLock>();
     check_generic_try::<CnaQSpinLock>();
+    check_generic_try::<FissileLock>();
+    // …the registry must build exactly those with their try path…
+    const TRY_CAPABLE: [&str; 7] = [
+        "tas",
+        "ttas-bo",
+        "ticket",
+        "hbo",
+        "qspinlock-stock",
+        "qspinlock-cna",
+        "fissile",
+    ];
     // …and the erased path must match them, id by id.
     for id in LockId::ALL {
         let lock = id.build();
         assert_eq!(
             lock.supports_try_lock(),
-            id.supports_try_lock(),
-            "{id}: erased try support drifted from the registry"
+            TRY_CAPABLE.contains(&id.name()),
+            "{id}: the registry row lost or invented a try path"
         );
-        if id.supports_try_lock() {
+        if lock.supports_try_lock() {
             let guard = lock.lock();
             assert!(lock.try_lock().is_none(), "{id}: try while held");
             drop(guard);
@@ -135,15 +147,16 @@ fn unwind_quietly() -> ! {
     resume_unwind(Box::new("panic inside a critical section"))
 }
 
-/// Runs `f` on a fresh thread and returns its result. A lock left held by an
-/// unwound guard would make `f` spin forever, so this fails after a deadline
-/// instead of hanging the suite.
+/// Runs `f` on a fresh thread and returns its result. A lock left held (by
+/// an unwound guard, or by a `try_lock` that leaked its hold) would make `f`
+/// spin forever, so this fails after a deadline instead of hanging the
+/// suite.
 fn within_deadline<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
     let (tx, rx) = mpsc::channel();
     let worker = std::thread::spawn(move || tx.send(f()).expect("the test is waiting"));
     let value = rx
         .recv_timeout(Duration::from_secs(10))
-        .unwrap_or_else(|_| panic!("{what}: the lock was not released when the guard unwound"));
+        .unwrap_or_else(|_| panic!("{what}: still blocked after 10 s, the lock was left held"));
     worker.join().expect("the worker sent its value");
     value
 }
@@ -182,6 +195,49 @@ fn a_panic_in_a_critical_section_releases_the_lock() {
                 "{id}: try_lock after the unwind"
             );
         }
+    }
+}
+
+/// `try_lock` under contention, for every registered lock with a
+/// non-blocking path: 4 threads make 2 000 attempts each, and every success
+/// bumps a counter in its critical section. The counter must equal the
+/// summed successes (no two holders at once), and afterwards `lock` and
+/// `try_lock` must both succeed: no attempt leaked a hold or lost a node.
+#[test]
+fn a_try_lock_storm_loses_no_update_and_leaks_no_hold() {
+    const THREADS: usize = 4;
+    const ATTEMPTS: usize = 2_000;
+    for id in LockId::ALL.into_iter().filter(|id| id.supports_try_lock()) {
+        let m = Arc::new(DynLockMutex::new(id.build(), 0u64));
+        let successes: u64 = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let m = &m;
+                    s.spawn(move || {
+                        let _socket = SocketOverrideGuard::new(t % 2);
+                        let mut won = 0;
+                        for _ in 0..ATTEMPTS {
+                            if let Some(mut guard) = m.try_lock() {
+                                *guard += 1;
+                                won += 1;
+                            }
+                        }
+                        won
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        assert!(successes > 0, "{id}: no try_lock succeeded");
+        let (counted, free) = within_deadline(&format!("{id} after the storm"), move || {
+            let counted = *m.lock();
+            (counted, m.try_lock().is_some())
+        });
+        assert_eq!(
+            counted, successes,
+            "{id}: a try_lock success lost its update"
+        );
+        assert!(free, "{id}: try_lock failed on a free lock after the storm");
     }
 }
 

@@ -20,7 +20,7 @@ fn checked(name: &str) -> Config {
 fn mcs_two_threads_mutual_exclusion() {
     let r = explore(
         &checked("e2e-mcs"),
-        &suite::raw_lock_scenario::<ModelMcs>("mcs", 2, 1),
+        &suite::raw_lock_scenario("mcs", ModelMcs::default, 2, 1),
     );
     r.assert_ok();
     assert!(r.complete, "bounded exploration should exhaust the tree");
@@ -31,7 +31,7 @@ fn mcs_two_threads_mutual_exclusion() {
 fn clh_two_threads_mutual_exclusion() {
     let r = explore(
         &checked("e2e-clh"),
-        &suite::raw_lock_scenario::<ModelClh>("clh", 2, 1),
+        &suite::raw_lock_scenario("clh", ModelClh::default, 2, 1),
     );
     r.assert_ok();
     assert!(r.complete);
@@ -41,7 +41,7 @@ fn clh_two_threads_mutual_exclusion() {
 fn ticket_two_threads_mutual_exclusion() {
     let r = explore(
         &checked("e2e-ticket"),
-        &suite::raw_lock_scenario::<ModelTicket>("ticket", 2, 1),
+        &suite::raw_lock_scenario("ticket", ModelTicket::default, 2, 1),
     );
     r.assert_ok();
     assert!(r.complete);
@@ -51,7 +51,7 @@ fn ticket_two_threads_mutual_exclusion() {
 fn cna_slow_path_two_threads_mutual_exclusion() {
     let r = explore(
         &checked("e2e-cna"),
-        &suite::raw_lock_scenario::<ModelCna>("cna", 2, 1),
+        &suite::raw_lock_scenario("cna", ModelCna::default, 2, 1),
     );
     r.assert_ok();
     assert!(r.complete);
@@ -69,7 +69,7 @@ fn seeded_mutation_of_mcs_handoff_must_fail() {
     // it to Relaxed, and require the checker to produce a counterexample.
     let clean = explore(
         &checked("e2e-mcs-sites"),
-        &suite::raw_lock_scenario::<ModelMcs>("mcs", 2, 1),
+        &suite::raw_lock_scenario("mcs", ModelMcs::default, 2, 1),
     );
     clean.assert_ok();
     let site = suite::find_site(&clean.sites, "mcs.rs", "store", "Release")
@@ -78,7 +78,10 @@ fn seeded_mutation_of_mcs_handoff_must_fail() {
     let cfg = checked("e2e-mcs-handoff-relaxed")
         .with_seed(modelcheck::seed_from_env())
         .with_mutation(Mutation::at(site.file, site.line));
-    let r = explore(&cfg, &suite::raw_lock_scenario::<ModelMcs>("mcs", 2, 1));
+    let r = explore(
+        &cfg,
+        &suite::raw_lock_scenario("mcs", ModelMcs::default, 2, 1),
+    );
     let v = r.expect_violation();
 
     assert!(

@@ -31,6 +31,9 @@ struct VersionState {
     /// count). While one is, a value an overwrite superseded may still be
     /// read, so commits leave it on the memtable's retire list.
     refs: u64,
+    /// Counted under this mutex, as leveldb's `UpdateStats` runs under
+    /// `mutex_`.
+    stats: DbStats,
 }
 
 /// Read/write statistics of a [`Db`].
@@ -63,10 +66,6 @@ where
     /// contention stays on the DB mutex, which the batch leader acquires
     /// exactly once per batch.
     write_queue: Mutex<VecDeque<Arc<PendingWrite>>>,
-    gets: AtomicU64,
-    hits: AtomicU64,
-    puts: AtomicU64,
-    batches: AtomicU64,
 }
 
 impl<L: RawLock> Db<L>
@@ -80,14 +79,11 @@ where
             state: LockMutex::new(VersionState {
                 sequence: 0,
                 refs: 0,
+                stats: DbStats::default(),
             }),
             memtable: MemTable::new(),
             cache: ShardedLruCache::new(cache_capacity),
             write_queue: Mutex::new(VecDeque::new()),
-            gets: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            puts: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
         }
     }
 
@@ -102,8 +98,9 @@ where
             db.memtable
                 .put(&Self::bench_key(i), format!("value-{i}").as_bytes());
         }
-        db.state.get_mut().sequence = n as u64;
-        db.puts.store(n as u64, Ordering::Relaxed);
+        let state = db.state.get_mut();
+        state.sequence = n as u64;
+        state.stats.puts = n as u64;
         db
     }
 
@@ -115,15 +112,18 @@ where
     /// Inserts `key → value`: one DB-mutex acquisition and one in-place
     /// memtable insert, while concurrent `get`s keep searching.
     pub fn put(&self, key: &[u8], value: &[u8]) {
-        self.commit([(key, value)]);
-        self.puts.fetch_add(1, Ordering::Relaxed);
+        self.commit([(key, value)], false);
     }
 
     /// Applies `writes` in order under the DB mutex, one O(log n) in-place
     /// memtable insert each, and returns the sequence number of the first.
-    /// The only write path: [`Db::put`] and the group-commit leader both
-    /// come through here.
-    fn commit<'w>(&self, writes: impl IntoIterator<Item = (&'w [u8], &'w [u8])>) -> u64 {
+    /// The only write path: [`Db::put`] and the group-commit leader (with
+    /// `group` set, counted as one batch) both come through here.
+    fn commit<'w>(
+        &self,
+        writes: impl IntoIterator<Item = (&'w [u8], &'w [u8])>,
+        group: bool,
+    ) -> u64 {
         let mut guard = self.state.lock();
         let first = guard.sequence + 1;
         for (key, value) in writes {
@@ -131,7 +131,9 @@ where
             // writer.
             unsafe { self.memtable.insert(key, value) };
             guard.sequence += 1;
+            guard.stats.puts += 1;
         }
+        guard.stats.batches += u64::from(group);
         if guard.refs == 0 {
             // SAFETY: the DB mutex is held, so no other writer runs, and no
             // `get` is between its Ref and Unref, so none can hold a retired
@@ -200,12 +202,10 @@ where
             };
             // Leader: one DB-mutex acquisition amortized over the whole
             // batch, applied in queue order.
-            let first = self.commit(batch.iter().map(|w| (&w.key[..], &w.value[..])));
+            let first = self.commit(batch.iter().map(|w| (&w.key[..], &w.value[..])), true);
             for (i, write) in batch.iter().enumerate() {
                 write.seq.store(first + i as u64, Ordering::Relaxed);
             }
-            self.puts.fetch_add(batch.len() as u64, Ordering::Relaxed);
-            self.batches.fetch_add(1, Ordering::Relaxed);
             for write in &batch {
                 write.done.store(true, Ordering::Release);
             }
@@ -216,7 +216,10 @@ where
 
     /// Reads `key`, following leveldb's `Get` structure: take the DB mutex to
     /// bump the memtable's refcount, search without the mutex, then update
-    /// the block cache (one shard mutex) and drop the reference.
+    /// the block cache (one shard mutex) and take the DB mutex again to drop
+    /// the reference. That second critical section also counts the `get`
+    /// (and its hit) in [`DbStats`], as leveldb's `UpdateStats` runs under
+    /// `mutex_`; a cache hit clones no value.
     pub fn get(&self, key: &[u8]) -> Option<Bytes> {
         // -- critical section 1: the global DB mutex -----------------------
         self.state.lock().refs += 1;
@@ -225,22 +228,21 @@ where
         let result = self.memtable.get(key);
 
         // -- critical section 2: one LRU cache shard ------------------------
-        let cache_key = hash_key(key);
         if let Some(value) = &result {
-            if self.cache.lookup(cache_key).is_none() {
+            let cache_key = hash_key(key);
+            if !self.cache.refresh(cache_key) {
                 self.cache.insert(cache_key, value.clone());
             }
-            self.hits.fetch_add(1, Ordering::Relaxed);
         }
 
-        // -- drop the memtable reference (global mutex again, as in
-        //    leveldb's `mem->Unref()` under `mutex_`) ------------------------
+        // -- drop the memtable reference and count the read (global mutex
+        //    again, as in leveldb's `mem->Unref()` under `mutex_`) ----------
         {
             let mut guard = self.state.lock();
             guard.refs = guard.refs.saturating_sub(1);
+            guard.stats.gets += 1;
+            guard.stats.hits += u64::from(result.is_some());
         }
-
-        self.gets.fetch_add(1, Ordering::Relaxed);
         result
     }
 
@@ -256,12 +258,7 @@ where
 
     /// Accumulated statistics.
     pub fn stats(&self) -> DbStats {
-        DbStats {
-            gets: self.gets.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            puts: self.puts.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-        }
+        self.state.lock().stats.clone()
     }
 
     /// (cache hits, cache misses) of the block cache.
@@ -270,12 +267,27 @@ where
     }
 }
 
+/// The block cache's key for `key`: leveldb's `Hash` widened to eight bytes
+/// a step, so a 16-byte bench key costs two multiplies, not sixteen. Each
+/// step is one 64×64→128-bit multiply with its halves folded together, so
+/// the bytes that vary between bench keys (the last digits, the high bytes
+/// of a little-endian word) reach the low bits too.
 fn hash_key(key: &[u8]) -> u64 {
-    // FNV-1a, enough to spread bench keys over the cache shards.
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in key {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
+    const M: u64 = 0xC6A4_A793_5BD1_E995;
+    let step = |hash: u64, word: u64| {
+        let full = u128::from(hash ^ word) * u128::from(M);
+        full as u64 ^ (full >> 64) as u64
+    };
+    let mut hash = 0xBC9F_1D34 ^ (key.len() as u64).wrapping_mul(M);
+    let mut words = key.chunks_exact(8);
+    for word in &mut words {
+        hash = step(hash, u64::from_le_bytes(word.try_into().expect("8 bytes")));
+    }
+    let rest = words.remainder();
+    if !rest.is_empty() {
+        let mut tail = [0u8; 8];
+        tail[..rest.len()].copy_from_slice(rest);
+        hash = step(hash, u64::from_le_bytes(tail));
     }
     hash
 }
@@ -283,6 +295,7 @@ fn hash_key(key: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{shard_of, NUM_SHARDS};
     use cna::CnaLock;
     use locks::McsLock;
 
@@ -312,25 +325,101 @@ mod tests {
     #[test]
     fn concurrent_readers_with_cna_global_lock() {
         let db: Arc<Db<CnaLock>> = Arc::new(Db::prefilled(256, 128));
-        std::thread::scope(|s| {
-            for t in 0..3usize {
-                let db = Arc::clone(&db);
-                s.spawn(move || {
-                    let mut found = 0;
-                    for i in 0..2_000usize {
-                        let key = Db::<CnaLock>::bench_key((i * 7 + t) % 300);
-                        if db.get(&key).is_some() {
-                            found += 1;
+        let found: u64 = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..3usize)
+                .map(|t| {
+                    let db = Arc::clone(&db);
+                    s.spawn(move || {
+                        let mut found = 0;
+                        for i in 0..2_000usize {
+                            let key = Db::<CnaLock>::bench_key((i * 7 + t) % 300);
+                            if db.get(&key).is_some() {
+                                found += 1;
+                            }
                         }
-                    }
-                    assert!(found > 0);
-                });
-            }
+                        assert!(found > 0);
+                        found
+                    })
+                })
+                .collect();
+            readers
+                .into_iter()
+                .map(|r| r.join().expect("reader panicked"))
+                .sum()
         });
         let stats = db.stats();
         assert_eq!(stats.gets, 6_000);
+        assert_eq!(stats.hits, found, "every found key counted once");
         let (hits, misses) = db.cache_counts();
-        assert!(hits + misses > 0);
+        assert_eq!(hits + misses, found, "every found key touched the cache");
+    }
+
+    #[test]
+    fn stats_count_exactly_what_concurrent_readers_and_writers_issued() {
+        const KEYS: usize = 200;
+        const READS: usize = 2_000;
+        const WRITES: usize = 300;
+        let db: Arc<Db<CnaLock>> = Arc::new(Db::prefilled(KEYS, 64));
+        let found: u64 = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..2usize)
+                .map(|t| {
+                    let db = Arc::clone(&db);
+                    s.spawn(move || {
+                        // A third of the keys read are absent.
+                        (0..READS)
+                            .filter(|i| {
+                                let key = Db::<CnaLock>::bench_key((i * 7 + t) % (KEYS * 3 / 2));
+                                db.get(&key).is_some()
+                            })
+                            .count() as u64
+                    })
+                })
+                .collect();
+            for w in 0..2usize {
+                let db = Arc::clone(&db);
+                s.spawn(move || {
+                    for i in 0..WRITES {
+                        let key = Db::<CnaLock>::bench_key((i * 3 + w) % KEYS);
+                        if w == 0 {
+                            db.put(&key, b"plain");
+                        } else {
+                            db.put_group(&key, b"grouped", 1);
+                        }
+                    }
+                });
+            }
+            readers
+                .into_iter()
+                .map(|r| r.join().expect("reader panicked"))
+                .sum()
+        });
+        let stats = db.stats();
+        assert_eq!(stats.gets, 2 * READS as u64);
+        assert_eq!(stats.hits, found);
+        assert_eq!(
+            stats.puts,
+            (KEYS + 2 * WRITES) as u64,
+            "prefill + both writers"
+        );
+        assert_eq!(stats.batches, WRITES as u64, "a put is not a batch");
+        assert_eq!(db.state.lock().refs, 0, "every Ref met its Unref");
+        assert_eq!(db.len(), KEYS, "writers only overwrote");
+    }
+
+    #[test]
+    fn the_key_hash_spreads_bench_keys_over_the_cache_shards() {
+        const KEYS: usize = 5_000;
+        let mut per_shard = [0usize; NUM_SHARDS];
+        for i in 0..KEYS {
+            per_shard[shard_of(hash_key(&Db::<McsLock>::bench_key(i)))] += 1;
+        }
+        let even = KEYS as f64 / NUM_SHARDS as f64;
+        for (shard, &n) in per_shard.iter().enumerate() {
+            assert!(
+                (n as f64 - even).abs() <= 0.25 * even,
+                "shard {shard} holds {n} of {KEYS} keys: {per_shard:?}"
+            );
+        }
     }
 
     fn pending(key: &[u8], value: &[u8]) -> Arc<PendingWrite> {

@@ -7,7 +7,8 @@
 //!
 //! * every `Get` briefly takes the **global DB mutex** to bump the
 //!   memtable's reference count (and drops it again before the actual
-//!   search), then takes it once more to drop the reference;
+//!   search), then takes it once more to drop the reference and count the
+//!   read;
 //! * the key search runs **outside** the DB mutex, concurrently with the one
 //!   writer, which inserts into the skiplist in place under the DB mutex;
 //! * a successful read then updates the **sharded LRU block cache**, taking

@@ -183,7 +183,7 @@ impl<'a> Engine<'a> {
     fn new(sim: &'a Simulation, arrivals: Arrivals<'a>) -> Self {
         let locks = sim
             .workload
-            .locks
+            .locks()
             .iter()
             .map(|spec| LockState {
                 model: sim.algorithm.build(

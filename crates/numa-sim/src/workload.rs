@@ -4,9 +4,31 @@
 //! lock protects, in cache lines) and a weighted set of operation templates.
 //! Each template is a short program of steps — think (non-critical work) and
 //! critical sections naming a lock, a service time, and how many cache lines
-//! of the protected region the section reads and writes. The engine
-//! instantiates templates with a deterministic RNG, resolving sharded lock
-//! choices and jitter.
+//! of the protected region the section reads and writes. The engine draws
+//! each operation from the templates with a deterministic RNG, resolving
+//! sharded lock choices and jitter.
+//!
+//! # The draw table
+//!
+//! [`Workload::new`] validates the templates and compiles them once into a
+//! private draw table, and [`Workload::generate_op_into`] reads only that
+//! table. It has one row per template: the template's weight (with the
+//! weight total summed once), and per step either a constant or the jitter
+//! interval as `(low, span)`. A draw picks a row by walking the weights,
+//! then draws each step in order: a sharded lock choice takes one
+//! `next_below`, a jittered duration takes one `next_f64` and returns
+//! `round(low + f·span)`, and a fixed lock or an unjittered duration takes
+//! nothing.
+//!
+//! The streams are bit-identical to instantiating the templates directly.
+//! The generator is called the same number of times in the same order, and
+//! `low` and `span` come from the same float operations, in the same
+//! order, as a direct instantiation performs per step, so every sum and
+//! product is the same. The rounding is exact integer arithmetic instead of
+//! `f64::round`, which is a libm call on the baseline x86-64 target (no
+//! SSE4.1 `roundsd`). That is exact only below 2^52 (`round_half_away`),
+//! so a step whose largest possible value, `low + span`, reaches 2^52
+//! keeps `f64::round`; the table decides that once per step.
 
 use sync_core::rng::Rng;
 
@@ -98,23 +120,37 @@ pub enum Step {
 pub struct Workload {
     /// Display name.
     pub name: String,
-    /// The locks of the workload.
-    pub locks: Vec<LockSpec>,
-    /// Weighted operation templates.
-    pub ops: Vec<OpTemplate>,
+    locks: Box<[LockSpec]>,
+    ops: Box<[OpTemplate]>,
+    // Boxed, like the slices, to keep `Workload` (which experiment specs
+    // embed by value) as small as a struct of three `Vec`s.
+    table: Box<DrawTable>,
 }
 
 impl Workload {
-    /// Builds a workload; panics if it has no locks or no operations (a
-    /// configuration bug in a benchmark, not a runtime condition).
+    /// Builds a workload and its draw table. Panics if it has no locks or no
+    /// operations, or if a template names a lock the workload does not have
+    /// (configuration bugs in a benchmark, not runtime conditions).
     pub fn new(name: impl Into<String>, locks: Vec<LockSpec>, ops: Vec<OpTemplate>) -> Self {
         assert!(!locks.is_empty(), "workload needs at least one lock");
         assert!(!ops.is_empty(), "workload needs at least one operation");
+        let table = Box::new(DrawTable::new(&ops, locks.len()));
         Workload {
             name: name.into(),
-            locks,
-            ops,
+            locks: locks.into(),
+            ops: ops.into(),
+            table,
         }
+    }
+
+    /// The locks of the workload.
+    pub fn locks(&self) -> &[LockSpec] {
+        &self.locks
+    }
+
+    /// The weighted operation templates.
+    pub fn ops(&self) -> &[OpTemplate] {
+        &self.ops
     }
 
     /// Number of locks.
@@ -132,25 +168,92 @@ impl Workload {
     /// [`Self::generate_op`] into a caller-owned buffer (cleared first), so a
     /// simulated thread reuses one allocation for all its operations.
     pub fn generate_op_into(&self, rng: &mut Rng, steps: &mut Vec<Step>) {
-        let total: f64 = self.ops.iter().map(|t| t.weight).sum();
-        let mut pick = rng.next_f64() * total;
-        let mut template = &self.ops[self.ops.len() - 1];
-        for t in &self.ops {
-            if pick < t.weight {
-                template = t;
-                break;
-            }
-            pick -= t.weight;
-        }
+        let row = self.table.pick(rng);
         steps.clear();
-        steps.extend(template.steps.iter().map(|s| self.instantiate(s, rng)));
+        steps.extend(row.steps.iter().map(|s| s.draw(rng)));
+    }
+}
+
+/// The templates compiled for drawing; see the module docs.
+#[derive(Debug, Clone, PartialEq)]
+struct DrawTable {
+    rows: Box<[OpRow]>,
+    total_weight: f64,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+struct OpRow {
+    weight: f64,
+    steps: Box<[StepDraw]>,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum StepDraw {
+    Think(Duration),
+    Critical {
+        lock: LockDraw,
+        service: Duration,
+        reads: usize,
+        writes: usize,
+    },
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum LockDraw {
+    Fixed(usize),
+    Range { first: usize, count: u64 },
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Duration {
+    Const(u64),
+    /// `round(low + f·span)` for one uniform `f` in `[0, 1)`; `exact` when
+    /// every such value is below 2^52, so integer rounding applies.
+    Jitter {
+        low: f64,
+        span: f64,
+        exact: bool,
+    },
+}
+
+impl DrawTable {
+    fn new(ops: &[OpTemplate], num_locks: usize) -> Self {
+        let rows = ops
+            .iter()
+            .map(|op| OpRow {
+                weight: op.weight,
+                steps: op
+                    .steps
+                    .iter()
+                    .map(|step| StepDraw::new(step, op.label, num_locks))
+                    .collect(),
+            })
+            .collect();
+        DrawTable {
+            rows,
+            total_weight: ops.iter().map(|t| t.weight).sum(),
+        }
     }
 
-    fn instantiate(&self, step: &StepTemplate, rng: &mut Rng) -> Step {
+    /// The weighted row choice: one `next_f64`, and the weights walked in
+    /// template order, with the last row taking any remainder.
+    #[inline]
+    fn pick(&self, rng: &mut Rng) -> &OpRow {
+        let mut pick = rng.next_f64() * self.total_weight;
+        for row in &self.rows[..self.rows.len() - 1] {
+            if pick < row.weight {
+                return row;
+            }
+            pick -= row.weight;
+        }
+        &self.rows[self.rows.len() - 1]
+    }
+}
+
+impl StepDraw {
+    fn new(step: &StepTemplate, label: &str, num_locks: usize) -> Self {
         match *step {
-            StepTemplate::Think { ns, jitter } => Step::Think {
-                ns: apply_jitter(ns, jitter, rng),
-            },
+            StepTemplate::Think { ns, jitter } => StepDraw::Think(Duration::new(ns, jitter)),
             StepTemplate::Critical {
                 lock,
                 service_ns,
@@ -158,32 +261,99 @@ impl Workload {
                 reads,
                 writes,
             } => {
-                let lock = match lock {
-                    LockChoice::Fixed(id) => id,
-                    LockChoice::UniformRange { first, count } => {
-                        first + rng.next_below(count.max(1) as u64) as usize
-                    }
+                // A zero-width range still draws, and always gives `first`.
+                let (lock, last) = match lock {
+                    LockChoice::Fixed(id) => (LockDraw::Fixed(id), Some(id)),
+                    LockChoice::UniformRange { first, count } => (
+                        LockDraw::Range {
+                            first,
+                            count: count.max(1) as u64,
+                        },
+                        first.checked_add(count.max(1) - 1),
+                    ),
                 };
-                debug_assert!(lock < self.locks.len(), "lock id out of range");
-                Step::Critical {
+                assert!(
+                    last.is_some_and(|last| last < num_locks),
+                    "operation template `{label}` takes {lock:?}, \
+                     but the workload has {num_locks} locks"
+                );
+                StepDraw::Critical {
                     lock,
-                    service_ns: apply_jitter(service_ns, jitter, rng),
+                    service: Duration::new(service_ns, jitter),
                     reads,
                     writes,
                 }
             }
         }
     }
+
+    #[inline]
+    fn draw(self, rng: &mut Rng) -> Step {
+        match self {
+            StepDraw::Think(ns) => Step::Think { ns: ns.draw(rng) },
+            StepDraw::Critical {
+                lock,
+                service,
+                reads,
+                writes,
+            } => Step::Critical {
+                lock: match lock {
+                    LockDraw::Fixed(id) => id,
+                    LockDraw::Range { first, count } => first + rng.next_below(count) as usize,
+                },
+                service_ns: service.draw(rng),
+                reads,
+                writes,
+            },
+        }
+    }
 }
 
-fn apply_jitter(ns: u64, jitter: f64, rng: &mut Rng) -> u64 {
-    if jitter <= 0.0 || ns == 0 {
-        return ns;
+impl Duration {
+    /// `ns` ± `jitter`, with the interval computed exactly as a per-draw
+    /// `low + f·(high − low)` would compute it.
+    fn new(ns: u64, jitter: f64) -> Self {
+        if jitter <= 0.0 || ns == 0 {
+            return Duration::Const(ns);
+        }
+        let jitter = jitter.min(1.0);
+        let low = (ns as f64 * (1.0 - jitter)).max(0.0);
+        let high = ns as f64 * (1.0 + jitter);
+        let span = high - low;
+        // f·span ≤ span for f < 1, and rounding is monotone, so no draw
+        // exceeds low + span.
+        let exact = low + span < EXACT_ROUND_LIMIT;
+        Duration::Jitter { low, span, exact }
     }
-    let jitter = jitter.min(1.0);
-    let low = (ns as f64 * (1.0 - jitter)).max(0.0);
-    let high = ns as f64 * (1.0 + jitter);
-    (low + rng.next_f64() * (high - low)).round() as u64
+
+    #[inline]
+    fn draw(self, rng: &mut Rng) -> u64 {
+        match self {
+            Duration::Const(ns) => ns,
+            Duration::Jitter { low, span, exact } => {
+                let x = low + rng.next_f64() * span;
+                if exact {
+                    round_half_away(x)
+                } else {
+                    x.round() as u64
+                }
+            }
+        }
+    }
+}
+
+/// 2^52: [`round_half_away`] is exact for every `x` in `[0, 2^52)`.
+const EXACT_ROUND_LIMIT: f64 = (1u64 << 52) as f64;
+
+/// `x.round() as u64` (half away from zero) for `0 ≤ x < 2^52`, with no
+/// libm call: `x as u64` truncates to `⌊x⌋` exactly, `⌊x⌋` converts back
+/// exactly, and the fraction `x − ⌊x⌋` is exact too (it is a multiple of
+/// `x`'s ulp below 1).
+#[inline]
+fn round_half_away(x: f64) -> u64 {
+    debug_assert!((0.0..EXACT_ROUND_LIMIT).contains(&x), "x = {x}");
+    let t = x as u64;
+    t + u64::from(x - t as f64 >= 0.5)
 }
 
 // Convenience constructors for the paper's workloads live in
@@ -284,11 +454,11 @@ mod tests {
     fn jitter_stays_within_bounds() {
         let mut rng = Rng::new(2);
         for _ in 0..1_000 {
-            let v = apply_jitter(1_000, 0.3, &mut rng);
+            let v = Duration::new(1_000, 0.3).draw(&mut rng);
             assert!((700..=1_300).contains(&v), "v = {v}");
         }
-        assert_eq!(apply_jitter(500, 0.0, &mut rng), 500);
-        assert_eq!(apply_jitter(0, 0.5, &mut rng), 0);
+        assert_eq!(Duration::new(500, 0.0), Duration::Const(500));
+        assert_eq!(Duration::new(0, 0.5), Duration::Const(0));
     }
 
     #[test]
@@ -318,6 +488,202 @@ mod tests {
     fn kv_map_preset_is_well_formed() {
         let w = Workload::kv_map_no_external_work();
         assert_eq!(w.num_locks(), 1);
-        assert!(w.ops.len() >= 2);
+        assert!(w.ops().len() >= 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "template `sharded` takes Range")]
+    fn an_out_of_range_lock_is_rejected_when_the_table_is_built() {
+        let w = tiny_workload();
+        let mut ops = w.ops().to_vec();
+        ops[1].steps[0] = StepTemplate::Critical {
+            lock: LockChoice::UniformRange { first: 1, count: 3 },
+            service_ns: 50,
+            jitter: 0.2,
+            reads: 1,
+            writes: 0,
+        };
+        let _ = Workload::new("bad", w.locks().to_vec(), ops);
+    }
+
+    #[test]
+    #[should_panic(expected = "template `fixed` takes Fixed(3)")]
+    fn an_out_of_range_fixed_lock_is_rejected() {
+        let w = tiny_workload();
+        let mut ops = w.ops().to_vec();
+        ops[0].steps[1] = StepTemplate::Critical {
+            lock: LockChoice::Fixed(3),
+            service_ns: 200,
+            jitter: 0.0,
+            reads: 3,
+            writes: 1,
+        };
+        let _ = Workload::new("bad", w.locks().to_vec(), ops);
+    }
+
+    fn same_as_round(x: f64) {
+        assert_eq!(round_half_away(x), x.round() as u64, "x = {x:?}");
+    }
+
+    #[test]
+    fn rounding_matches_f64_round_at_the_edges() {
+        same_as_round(0.0);
+        same_as_round(-0.0);
+        same_as_round(0.49999999999999994);
+        same_as_round(0.5f64.next_down());
+        same_as_round(0.5f64.next_up());
+        for k in [0u64, 1, 2, 3, 7, 1_000, 123_456_789, (1 << 51) - 1] {
+            let half = k as f64 + 0.5;
+            for x in [k as f64, half.next_down(), half, half.next_up()] {
+                same_as_round(x);
+            }
+        }
+        // Just below the limit: 2^52 − 0.5 is the largest value allowed.
+        let below = EXACT_ROUND_LIMIT.next_down();
+        assert_eq!(below, (1u64 << 52) as f64 - 0.5);
+        same_as_round(below);
+        same_as_round(below.next_down());
+        same_as_round(((1u64 << 52) - 1) as f64);
+    }
+
+    #[test]
+    fn rounding_matches_f64_round_on_random_values() {
+        let mut rng = Rng::new(52);
+        for i in 0..1_000_000u64 {
+            // Uniform in [0, 1), scaled over every binade up to 2^52.
+            same_as_round(rng.next_f64() * (1u64 << (i % 53)) as f64);
+        }
+    }
+
+    /// Instantiation as it was before the draw table, kept word for word as
+    /// the reference the table must reproduce.
+    struct Reference<'a> {
+        locks: &'a [LockSpec],
+        ops: &'a [OpTemplate],
+    }
+
+    impl Reference<'_> {
+        fn generate_op_into(&self, rng: &mut Rng, steps: &mut Vec<Step>) {
+            let total: f64 = self.ops.iter().map(|t| t.weight).sum();
+            let mut pick = rng.next_f64() * total;
+            let mut template = &self.ops[self.ops.len() - 1];
+            for t in self.ops {
+                if pick < t.weight {
+                    template = t;
+                    break;
+                }
+                pick -= t.weight;
+            }
+            steps.clear();
+            steps.extend(template.steps.iter().map(|s| self.instantiate(s, rng)));
+        }
+
+        fn instantiate(&self, step: &StepTemplate, rng: &mut Rng) -> Step {
+            match *step {
+                StepTemplate::Think { ns, jitter } => Step::Think {
+                    ns: apply_jitter(ns, jitter, rng),
+                },
+                StepTemplate::Critical {
+                    lock,
+                    service_ns,
+                    jitter,
+                    reads,
+                    writes,
+                } => {
+                    let lock = match lock {
+                        LockChoice::Fixed(id) => id,
+                        LockChoice::UniformRange { first, count } => {
+                            first + rng.next_below(count.max(1) as u64) as usize
+                        }
+                    };
+                    debug_assert!(lock < self.locks.len(), "lock id out of range");
+                    Step::Critical {
+                        lock,
+                        service_ns: apply_jitter(service_ns, jitter, rng),
+                        reads,
+                        writes,
+                    }
+                }
+            }
+        }
+    }
+
+    fn apply_jitter(ns: u64, jitter: f64, rng: &mut Rng) -> u64 {
+        if jitter <= 0.0 || ns == 0 {
+            return ns;
+        }
+        let jitter = jitter.min(1.0);
+        let low = (ns as f64 * (1.0 - jitter)).max(0.0);
+        let high = ns as f64 * (1.0 + jitter);
+        (low + rng.next_f64() * (high - low)).round() as u64
+    }
+
+    /// The table and the reference draw equal operations from `seeds`, and
+    /// leave their generators in the same state.
+    fn assert_draws_match_the_reference(w: &Workload, seeds: std::ops::Range<u64>) {
+        let reference = Reference {
+            locks: w.locks(),
+            ops: w.ops(),
+        };
+        let (mut table_steps, mut reference_steps) = (Vec::new(), Vec::new());
+        for seed in seeds {
+            let (mut a, mut b) = (Rng::new(seed), Rng::new(seed));
+            w.generate_op_into(&mut a, &mut table_steps);
+            reference.generate_op_into(&mut b, &mut reference_steps);
+            assert_eq!(table_steps, reference_steps, "{}, seed {seed}", w.name);
+            assert_eq!(a.next_u64(), b.next_u64(), "{}, seed {seed}", w.name);
+        }
+    }
+
+    #[test]
+    fn the_table_draws_what_the_templates_did_for_every_preset() {
+        use crate::workloads::*;
+        let mut presets = vec![
+            kv_map(0, 0.2),
+            kv_map(1_800, 0.2),
+            leveldb_readrandom(true),
+            leveldb_readrandom(false),
+            kyoto_wicked(),
+            locktorture(false),
+            locktorture(true),
+            tiny_workload(),
+        ];
+        presets.extend(WillItScale::all().map(will_it_scale));
+        for w in &presets {
+            assert_draws_match_the_reference(w, 0..100_000);
+        }
+    }
+
+    #[test]
+    fn a_step_that_can_reach_2_pow_52_keeps_f64_round() {
+        let lock = LockSpec {
+            name: "a".into(),
+            data_lines: 1,
+        };
+        let think = |ns, jitter| OpTemplate {
+            weight: 1.0,
+            label: "think",
+            steps: vec![StepTemplate::Think { ns, jitter }],
+        };
+        let w = |ns, jitter| Workload::new("big", vec![lock.clone()], vec![think(ns, jitter)]);
+        let exact = |w: &Workload| match w.table.rows[0].steps[0] {
+            StepDraw::Think(Duration::Jitter { exact, .. }) => exact,
+            other => panic!("{other:?}"),
+        };
+        // 2^51 ± 99.9 % stays below 2^52 — just.
+        let below = w(1 << 51, 0.999);
+        assert!(exact(&below));
+        // 2^51 ± 100 % can reach 2^52 exactly, as can anything larger.
+        for (ns, jitter) in [
+            (1 << 51, 1.0),
+            (1 << 52, 0.1),
+            (1 << 62, 0.5),
+            (u64::MAX, 1.0),
+        ] {
+            let above = w(ns, jitter);
+            assert!(!exact(&above), "{ns} ± {jitter}");
+            assert_draws_match_the_reference(&above, 0..10_000);
+        }
+        assert_draws_match_the_reference(&below, 0..10_000);
     }
 }

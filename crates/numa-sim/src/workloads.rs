@@ -345,7 +345,7 @@ mod tests {
             will_it_scale(WillItScale::Open2),
         ] {
             assert!(w.num_locks() >= 1);
-            assert!(!w.ops.is_empty());
+            assert!(!w.ops().is_empty());
             let mut rng = sync_core::rng::Rng::new(3);
             let op = w.generate_op(&mut rng);
             assert!(!op.is_empty());
@@ -373,7 +373,7 @@ mod tests {
     fn will_it_scale_open2_has_a_single_contended_lock() {
         let w = will_it_scale(WillItScale::Open2);
         assert_eq!(w.num_locks(), 1);
-        assert_eq!(w.locks[0].name, "files_struct.file_lock");
+        assert_eq!(w.locks()[0].name, "files_struct.file_lock");
         let w = will_it_scale(WillItScale::Open1);
         assert_eq!(w.num_locks(), 2);
     }
@@ -382,7 +382,7 @@ mod tests {
     fn locktorture_lockstat_touches_shared_data() {
         let with = locktorture(true);
         let without = locktorture(false);
-        let writes = |w: &Workload| match &w.ops[0].steps[1] {
+        let writes = |w: &Workload| match &w.ops()[0].steps[1] {
             crate::workload::StepTemplate::Critical { writes, .. } => *writes,
             _ => 0,
         };

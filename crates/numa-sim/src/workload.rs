@@ -24,11 +24,10 @@
 //! The generator is called the same number of times in the same order, and
 //! `low` and `span` come from the same float operations, in the same
 //! order, as a direct instantiation performs per step, so every sum and
-//! product is the same. The rounding is exact integer arithmetic instead of
+//! product is the same. The rounding is integer arithmetic instead of
 //! `f64::round`, which is a libm call on the baseline x86-64 target (no
-//! SSE4.1 `roundsd`). That is exact only below 2^52 (`round_half_away`),
-//! so a step whose largest possible value, `low + span`, reaches 2^52
-//! keeps `f64::round`; the table decides that once per step.
+//! SSE4.1 `roundsd`); [`round_half_away`] equals `x.round() as u64` for
+//! every `f64`, so one rounding serves every step, however large.
 
 use sync_core::rng::Rng;
 
@@ -207,12 +206,10 @@ enum LockDraw {
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Duration {
     Const(u64),
-    /// `round(low + f·span)` for one uniform `f` in `[0, 1)`; `exact` when
-    /// every such value is below 2^52, so integer rounding applies.
+    /// `round(low + f·span)` for one uniform `f` in `[0, 1)`.
     Jitter {
         low: f64,
         span: f64,
-        exact: bool,
     },
 }
 
@@ -262,7 +259,7 @@ impl StepDraw {
                 writes,
             } => {
                 // A zero-width range still draws, and always gives `first`.
-                let (lock, last) = match lock {
+                let (draw, last) = match lock {
                     LockChoice::Fixed(id) => (LockDraw::Fixed(id), Some(id)),
                     LockChoice::UniformRange { first, count } => (
                         LockDraw::Range {
@@ -278,7 +275,7 @@ impl StepDraw {
                      but the workload has {num_locks} locks"
                 );
                 StepDraw::Critical {
-                    lock,
+                    lock: draw,
                     service: Duration::new(service_ns, jitter),
                     reads,
                     writes,
@@ -319,41 +316,32 @@ impl Duration {
         let jitter = jitter.min(1.0);
         let low = (ns as f64 * (1.0 - jitter)).max(0.0);
         let high = ns as f64 * (1.0 + jitter);
-        let span = high - low;
-        // f·span ≤ span for f < 1, and rounding is monotone, so no draw
-        // exceeds low + span.
-        let exact = low + span < EXACT_ROUND_LIMIT;
-        Duration::Jitter { low, span, exact }
+        Duration::Jitter {
+            low,
+            span: high - low,
+        }
     }
 
     #[inline]
     fn draw(self, rng: &mut Rng) -> u64 {
         match self {
             Duration::Const(ns) => ns,
-            Duration::Jitter { low, span, exact } => {
-                let x = low + rng.next_f64() * span;
-                if exact {
-                    round_half_away(x)
-                } else {
-                    x.round() as u64
-                }
-            }
+            Duration::Jitter { low, span } => round_half_away(low + rng.next_f64() * span),
         }
     }
 }
 
-/// 2^52: [`round_half_away`] is exact for every `x` in `[0, 2^52)`.
-const EXACT_ROUND_LIMIT: f64 = (1u64 << 52) as f64;
-
-/// `x.round() as u64` (half away from zero) for `0 ≤ x < 2^52`, with no
-/// libm call: `x as u64` truncates to `⌊x⌋` exactly, `⌊x⌋` converts back
-/// exactly, and the fraction `x − ⌊x⌋` is exact too (it is a multiple of
-/// `x`'s ulp below 1).
+/// `x.round() as u64` (half away from zero, saturating) with no libm call.
+/// For `0 ≤ x < 2^52`, `x as u64` truncates to `⌊x⌋` exactly, `⌊x⌋`
+/// converts back exactly, and the fraction `x − ⌊x⌋` is exact too (a
+/// multiple of `x`'s ulp below 1). From 2^52 to 2^64 every `f64` is an
+/// integer, so the fraction is 0. Above 2^64 (and at +∞) `x as u64`
+/// saturates at `u64::MAX` and the add saturates with it; below 0 (and at
+/// NaN) both sides give 0.
 #[inline]
 fn round_half_away(x: f64) -> u64 {
-    debug_assert!((0.0..EXACT_ROUND_LIMIT).contains(&x), "x = {x}");
     let t = x as u64;
-    t + u64::from(x - t as f64 >= 0.5)
+    t.saturating_add(u64::from(x - t as f64 >= 0.5))
 }
 
 // Convenience constructors for the paper's workloads live in
@@ -492,7 +480,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "template `sharded` takes Range")]
+    #[should_panic(expected = "template `sharded` takes UniformRange { first: 1, count: 3 }")]
     fn an_out_of_range_lock_is_rejected_when_the_table_is_built() {
         let w = tiny_workload();
         let mut ops = w.ops().to_vec();
@@ -538,20 +526,38 @@ mod tests {
                 same_as_round(x);
             }
         }
-        // Just below the limit: 2^52 − 0.5 is the largest value allowed.
-        let below = EXACT_ROUND_LIMIT.next_down();
-        assert_eq!(below, (1u64 << 52) as f64 - 0.5);
-        same_as_round(below);
-        same_as_round(below.next_down());
-        same_as_round(((1u64 << 52) - 1) as f64);
+        // 2^52 − 0.5 is the last half-integer; from 2^52 on every value is
+        // an integer, and from 2^64 on both sides saturate.
+        let limit = (1u64 << 52) as f64;
+        assert_eq!(limit.next_down(), limit - 0.5);
+        let top = 2f64.powi(64);
+        for x in [
+            limit.next_down().next_down(),
+            limit.next_down(),
+            limit,
+            limit.next_up(),
+            2f64.powi(53).next_up(),
+            top.next_down(),
+            top,
+            top.next_up(),
+            2f64.powi(70),
+            f64::MAX,
+            f64::INFINITY,
+        ] {
+            same_as_round(x);
+        }
+        // Below zero, and NaN, both give 0.
+        for x in [-0.4, -0.5, -0.6, -1.5, -1e300, f64::NEG_INFINITY, f64::NAN] {
+            same_as_round(x);
+        }
     }
 
     #[test]
     fn rounding_matches_f64_round_on_random_values() {
         let mut rng = Rng::new(52);
         for i in 0..1_000_000u64 {
-            // Uniform in [0, 1), scaled over every binade up to 2^52.
-            same_as_round(rng.next_f64() * (1u64 << (i % 53)) as f64);
+            // Uniform in [0, 1), scaled over every binade up to 2^70.
+            same_as_round(rng.next_f64() * 2f64.powi((i % 71) as i32));
         }
     }
 
@@ -655,7 +661,7 @@ mod tests {
     }
 
     #[test]
-    fn a_step_that_can_reach_2_pow_52_keeps_f64_round() {
+    fn steps_that_can_reach_2_pow_52_and_beyond_draw_what_the_templates_did() {
         let lock = LockSpec {
             name: "a".into(),
             data_lines: 1,
@@ -665,25 +671,17 @@ mod tests {
             label: "think",
             steps: vec![StepTemplate::Think { ns, jitter }],
         };
-        let w = |ns, jitter| Workload::new("big", vec![lock.clone()], vec![think(ns, jitter)]);
-        let exact = |w: &Workload| match w.table.rows[0].steps[0] {
-            StepDraw::Think(Duration::Jitter { exact, .. }) => exact,
-            other => panic!("{other:?}"),
-        };
-        // 2^51 ± 99.9 % stays below 2^52 — just.
-        let below = w(1 << 51, 0.999);
-        assert!(exact(&below));
-        // 2^51 ± 100 % can reach 2^52 exactly, as can anything larger.
+        // 2^51 ± 99.9 % stays below 2^52; 2^51 ± 100 % can reach it, and
+        // u64::MAX ± 100 % reaches past 2^64.
         for (ns, jitter) in [
+            (1 << 51, 0.999),
             (1 << 51, 1.0),
             (1 << 52, 0.1),
             (1 << 62, 0.5),
             (u64::MAX, 1.0),
         ] {
-            let above = w(ns, jitter);
-            assert!(!exact(&above), "{ns} ± {jitter}");
-            assert_draws_match_the_reference(&above, 0..10_000);
+            let w = Workload::new("big", vec![lock.clone()], vec![think(ns, jitter)]);
+            assert_draws_match_the_reference(&w, 0..10_000);
         }
-        assert_draws_match_the_reference(&below, 0..10_000);
     }
 }

@@ -1,8 +1,8 @@
 //! Robustness of the report reader on malformed input: `RunReport::from_csv`
-//! and `RunReport::load_csv` return an `ExperimentError` on arbitrary text
-//! and on arbitrary bytes (non-UTF-8 included), with or without a valid
-//! header in front, and never panic; a randomly damaged valid report parses
-//! or is rejected, but never panics either.
+//! and `RunReport::load_csv` never panic on arbitrary text or on arbitrary
+//! bytes (non-UTF-8 included), with or without a valid header in front, nor
+//! on a valid report with generated text spliced into a row's fields or
+//! damaged anywhere; every parse error names a line of the input.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -14,21 +14,19 @@ use proptest::prelude::*;
 const VALID: &str = include_str!("../baselines/smoke-sim.csv");
 
 /// Characters that delimit or start something in the report format, plus
-/// number syntax. There is no `o`, so no generated field reads `closed` or
-/// `open`, and no generated line can be a valid sample.
-const SIGNIFICANT: [char; 16] = [
-    ',', '\n', '\r', ' ', '0', '1', '9', '-', '+', '.', 'e', 'N', 'a', 'i', 'f', '"',
+/// number syntax and the letters of `closed` and `open`.
+const SIGNIFICANT: [char; 22] = [
+    ',', '\n', '\r', ' ', '0', '1', '9', '-', '+', '.', 'e', 'N', 'a', 'i', 'f', '"', 'c', 'l',
+    'o', 's', 'd', 'p',
 ];
 
 /// Decodes generated words into text: mostly [`SIGNIFICANT`] characters,
-/// otherwise any Unicode scalar value but `o`.
+/// otherwise any Unicode scalar value.
 fn text(words: &[u32]) -> String {
     words
         .iter()
         .map(|&w| match w % 4 {
-            0 => char::from_u32(w >> 2)
-                .filter(|&c| c != 'o')
-                .unwrap_or('\u{FFFD}'),
+            0 => char::from_u32(w >> 2).unwrap_or('\u{FFFD}'),
             _ => SIGNIFICANT[(w >> 2) as usize % SIGNIFICANT.len()],
         })
         .collect()
@@ -38,14 +36,15 @@ fn header() -> &'static str {
     VALID.lines().next().expect("the baseline has a header")
 }
 
-/// `from_csv` on `input` is an error, and a parse error names a line of
-/// the input (0 for the whole file).
-fn assert_rejected(input: &str) {
+/// `from_csv` on `input` returns without panicking, and a parse error names
+/// a line of the input (0 for the whole file).
+fn assert_read_or_rejected(input: &str) {
     match RunReport::from_csv(input) {
+        Ok(_) => {}
         Err(ExperimentError::Parse { line, .. }) => {
             assert!(line <= input.lines().count(), "line {line} of {input:?}")
         }
-        other => panic!("expected a parse error for {input:?}, got {other:?}"),
+        Err(other) => panic!("expected a parse error for {input:?}, got {other:?}"),
     }
 }
 
@@ -75,17 +74,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(2_000))]
 
     #[test]
-    fn arbitrary_text_is_rejected(
+    fn arbitrary_text_never_panics(
         words in proptest::collection::vec(any::<u32>(), 0..200),
         headed in any::<bool>(),
     ) {
         let body = text(&words);
         let input = if headed { format!("{}\n{body}", header()) } else { body };
-        assert_rejected(&input);
+        assert_read_or_rejected(&input);
     }
 
     #[test]
-    fn arbitrary_bytes_in_a_file_are_rejected(
+    fn arbitrary_bytes_in_a_file_never_panic(
         bytes in proptest::collection::vec(any::<u8>(), 0..200),
         headed in any::<bool>(),
     ) {
@@ -94,16 +93,34 @@ proptest! {
             contents.extend_from_slice(header().as_bytes());
             contents.push(b'\n');
         }
-        // No `o`, for the reason `SIGNIFICANT` gives.
-        contents.extend(bytes.iter().map(|&b| if b == b'o' { b'x' } else { b }));
+        contents.extend_from_slice(&bytes);
         let file = TempFile::with(&contents);
+        let utf8 = std::str::from_utf8(&contents).is_ok();
         match RunReport::load_csv(&file.0) {
-            Err(ExperimentError::Read { .. }) => {
-                assert!(std::str::from_utf8(&contents).is_err(), "valid UTF-8 is read")
+            Err(ExperimentError::Read { .. }) => assert!(!utf8, "valid UTF-8 is read"),
+            Err(ExperimentError::Parse { line, .. }) => {
+                assert!(utf8, "non-UTF-8 is parsed");
+                assert!(line <= contents.split(|&b| b == b'\n').count());
             }
-            Err(ExperimentError::Parse { .. }) => {}
-            other => panic!("expected an error for {contents:?}, got {other:?}"),
+            Ok(_) => assert!(utf8, "non-UTF-8 is parsed"),
+            Err(other) => panic!("expected a read or parse error for {contents:?}, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn text_in_the_fields_of_a_real_row_never_panics(
+        row in 1usize..VALID.lines().count(),
+        field in any::<usize>(),
+        words in proptest::collection::vec(any::<u32>(), 0..12),
+    ) {
+        // Replace one field from `mode` on (mode, rate, rep, metric, unit,
+        // value and the measurements after it) with generated text.
+        let columns: Vec<&str> = header().split(',').collect();
+        let mode = columns.iter().position(|&c| c == "mode").expect("a mode column");
+        let mut fields: Vec<String> =
+            VALID.lines().nth(row).unwrap().split(',').map(String::from).collect();
+        fields[mode + field % (columns.len() - mode)] = text(&words);
+        assert_read_or_rejected(&format!("{}\n{}", header(), fields.join(",")));
     }
 
     #[test]
@@ -116,13 +133,8 @@ proptest! {
         let mut damaged = String::from(&VALID[..cut]);
         damaged.push_str(&text(&words));
         damaged.push_str(VALID.get(cut + len..).unwrap_or(""));
-        if let Err(ExperimentError::Parse { line, .. }) = RunReport::from_csv(&damaged) {
-            assert!(line <= damaged.lines().count());
-        }
-        let truncated = &VALID[..cut];
-        if let Err(ExperimentError::Parse { line, .. }) = RunReport::from_csv(truncated) {
-            assert!(line <= truncated.lines().count());
-        }
+        assert_read_or_rejected(&damaged);
+        assert_read_or_rejected(&VALID[..cut]);
     }
 }
 

@@ -198,8 +198,9 @@ impl DepthMeter {
 /// The load shape only decides when a worker's next request arrives:
 ///
 /// * [`LoadMode::Closed`] — the instant its last one completes, until
-///   `duration` has passed. Workers share no dispatch state, so they contend
-///   only on what `serve` touches, and nothing is timed per request.
+///   `duration` has passed; every worker serves at least one. Workers
+///   share no dispatch state, so they contend only on what `serve`
+///   touches, and nothing is timed per request.
 /// * [`LoadMode::Open`] — at its offset in [`offered_schedule`]: workers
 ///   claim arrivals with a shared fetch-add, pace each to the wall clock
 ///   (sleep through long gaps, spin out the tail) and record its sojourn
@@ -238,9 +239,15 @@ where
                     let mut last_done_ns = 0u64;
                     match schedule {
                         None => {
-                            while !stop.load(Ordering::Relaxed) {
+                            // Serve before the first `stop` check, so a
+                            // worker scheduled after the deadline still
+                            // serves one request.
+                            loop {
                                 serve(&mut state, t + served as usize * threads);
                                 served += 1;
+                                if stop.load(Ordering::Relaxed) {
+                                    break;
+                                }
                             }
                             last_done_ns = start.elapsed().as_nanos() as u64;
                         }
@@ -436,13 +443,22 @@ mod tests {
             },
         );
         assert_eq!(summary.served_per_worker.len(), 3);
-        // On a busy host one of three workers may not be scheduled inside a
-        // 5 ms window, so only the total is asserted, not each worker's.
-        assert!(summary.served() > 0, "nothing was served");
+        assert!(summary.served_per_worker.iter().all(|&n| n >= 1));
         assert_eq!(summary.served(), seen.lock().unwrap().len() as u64);
         assert!(summary.elapsed_ns >= 5_000_000, "runs to the deadline");
         assert_eq!(summary.histogram.count(), 0, "nothing is timed per request");
         assert_eq!(summary.mean_queue_depth, 0.0);
+    }
+
+    #[test]
+    fn every_closed_loop_worker_serves_one_request_past_a_zero_deadline() {
+        let summary = run_wall_clock(3, LoadMode::Closed, Duration::ZERO, |_| (), |_, _| {});
+        assert_eq!(summary.served_per_worker.len(), 3);
+        assert!(
+            summary.served_per_worker.iter().all(|&n| n >= 1),
+            "{:?}",
+            summary.served_per_worker
+        );
     }
 
     #[test]

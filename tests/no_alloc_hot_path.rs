@@ -2,11 +2,15 @@
 //! `sync_core::node_pool`). This pins it without timing anything: a counting
 //! global allocator, and zero allocations over 1 000 warm acquisitions of
 //! every registered algorithm and of both mutex wrappers. The same counter
-//! shows which locks a `DynLock` boxes: only those larger than a word.
+//! shows which locks a `DynLock` boxes: only those larger than a word, and
+//! that a warm kyoto-lite `CacheDb` reads, overwrites and misses a removal
+//! without allocating.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use cna_locks::cna::CnaLock;
+use cna_locks::kyoto_lite::{CacheDb, WickedOp};
 use cna_locks::registry::LockId;
 use cna_locks::sync_core::DynLockMutex;
 use cna_locks::CnaMutex;
@@ -102,4 +106,33 @@ fn both_mutex_wrappers_are_allocation_free_once_warm() {
     let erased = DynLockMutex::new(LockId::Cna.build(), 0u64);
     assert_eq!(steady_state_allocations(|| *erased.lock() += 1), 0);
     assert_eq!(*erased.lock(), (WARM_UP + MEASURED) as u64);
+}
+
+/// `CacheDb` overwrites a record in its own buffer, as Kyoto Cabinet's
+/// `CacheDB` does, so only a new key or a grown value allocates.
+#[test]
+fn a_warm_cache_db_gets_overwrites_and_misses_without_allocating() {
+    const KEYS: u64 = 256;
+    let db: CacheDb<CnaLock> = CacheDb::new();
+    for key in 0..KEYS {
+        db.execute(WickedOp::Set, key);
+    }
+    for (op, name) in [
+        (WickedOp::Get, "get"),
+        (WickedOp::Set, "set of an existing key"),
+    ] {
+        let mut key = 0;
+        let grown = steady_state_allocations(|| {
+            db.execute(op, key);
+            key = (key + 1) % KEYS;
+        });
+        assert_eq!(grown, 0, "{name} allocated");
+    }
+    let mut absent = KEYS;
+    let grown = steady_state_allocations(|| {
+        db.execute(WickedOp::Remove, absent);
+        absent += 1;
+    });
+    assert_eq!(grown, 0, "remove of an absent key allocated");
+    assert_eq!(db.len(), KEYS as usize);
 }
